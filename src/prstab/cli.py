@@ -147,6 +147,7 @@ def cmd_analyze(args) -> int:
                 "ratio": cert.ratio,
                 "iterations": cert.iterations,
                 "restarts": cert.restarts,
+                "stop_reason": cert.stop_reason,
             }
         }
     else:
@@ -297,6 +298,8 @@ def cmd_recover(args) -> int:
 def cmd_optimize(args) -> int:
     if not (3 <= args.m <= 16):
         raise ConfigError(f"--m must lie in [3, 16], got {args.m}")
+    if args.restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {args.restarts}")
     frame, beta_best = optimize_frame_r2(args.m, restarts=args.restarts, seed=args.seed)
     beta_harm = harmonic_condition_number(args.m)
     payload = {

@@ -45,7 +45,10 @@ def field_of(a: np.ndarray) -> Field:
 
 
 def as_matrix(rows, field: Field | None = None) -> np.ndarray:
-    """Coerce to a 2-d measurement matrix, optionally forcing a field tag."""
+    """Coerce to a 2-d measurement matrix, optionally forcing a field tag.
+
+    Raises ValueError on a wrong shape or a non-finite entry.
+    """
     raw = np.asarray(rows)
     if field is Field.REAL and np.iscomplexobj(raw):
         raise FieldMismatchError("complex entries under a real field tag")
@@ -55,6 +58,8 @@ def as_matrix(rows, field: Field | None = None) -> np.ndarray:
         raise ValueError(f"expected an m x d matrix with m, d >= 1, got shape {a.shape}")
     if not np.iscomplexobj(a):
         a = a.astype(np.float64)
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite (got nan or inf)")
     return a
 
 

@@ -85,6 +85,8 @@ def read_matrix(path) -> np.ndarray:
             vals = [float(c) for c in cells]
         except ValueError as exc:
             raise MatrixFormatError(path, lineno, f"bad number: {exc}") from None
+        if not all(np.isfinite(vals)):
+            raise MatrixFormatError(path, lineno, "non-finite value (nan or inf)")
         if field is Field.COMPLEX:
             out[r] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
         else:

@@ -1,10 +1,12 @@
 """Optimal Lipschitz bounds and condition numbers of phaseless measurement maps.
 
-Two routes to the lower constant: exact subset enumeration (real field,
-exponential in m, capped) and constrained numerical minimization over
-orthogonal pairs (both fields).  The upper constant is always the spectral
-norm.  Also provides the universal condition-number floors and a derivative-
-free optimizer probing the best m x 2 real frame.
+Two routes to the lower constant: the exact minimum over row splits (real
+field, capped at ENUMERATION_CAP rows) and constrained numerical
+minimization over orthogonal pairs (both fields).  The exact route scores
+the O(m^2) angular arcs for d = 2 and enumerates all 2^(m-1) splits for
+other d.  The upper constant is always the spectral norm.  Also provides
+the universal condition-number floors and a derivative-free optimizer
+probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .linalg import (
     Field,
     FieldMismatchError,
     dist,
-    eig_hermitian,
     field_of,
     lambda_min_2x2_batch,
     lambda_min_3x3_batch,
@@ -49,7 +50,10 @@ class PairCertificate:
     """Orthogonal pair achieving a candidate lower-constant value.
 
     x is unit, y = t*u for a unit u orthogonal to x and t in [0, 1]; `ratio`
-    is |||Ax| - |Ay||| / dist(x, y) at the pair.
+    is |||Ax| - |Ay||| / dist(x, y) at the pair.  `stop_reason` says how the
+    search ended: "closed_form" (d = 1, no search), "budget" (the pattern
+    search hit its iteration cap with a step still above its floor) or
+    "converged".
     """
 
     x: np.ndarray
@@ -57,6 +61,7 @@ class PairCertificate:
     ratio: float
     iterations: int
     restarts: int
+    stop_reason: str
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,7 @@ def _lambda_min_batch(g: np.ndarray, d: int) -> np.ndarray:
         return lambda_min_2x2_batch(g)
     if d == 3:
         return lambda_min_3x3_batch(g)
-    out = np.empty(g.shape[0])
-    for i in range(g.shape[0]):
-        out[i] = max(eig_hermitian(g[i].reshape(d, d))[0], 0.0)
-    return out
+    return np.maximum(np.linalg.eigvalsh(g.reshape(-1, d, d))[:, 0], 0.0)
 
 
 def _reduce_over_splits(A: np.ndarray, reduce_chunk, threads: int = 1) -> list:
@@ -160,14 +162,42 @@ def _require_real_enumerable(A: np.ndarray) -> None:
         raise EnumerationCapError(A.shape[0])
 
 
+def _lower_exact_arcs(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Exact lower constant of a real m x 2 matrix over angular arcs, O(m^2).
+
+    A split realized by a signal pair, {i : sign<a_i,x> = sign<a_i,y>}, is a
+    cyclic run of rows sorted by angle mod pi, so the minimum over all runs
+    equals the minimum over all 2^(m-1) splits.  Runs that cut a group of
+    parallel rows are extra but valid splits and cannot undercut it.
+    """
+    m = A.shape[0]
+    order = np.argsort(np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi), kind="stable")
+    terms = _subset_gram_terms(A[order])
+    prefix = np.zeros((2 * m + 1, 3))
+    np.cumsum(np.concatenate([terms, terms]), axis=0, out=prefix[1:])
+    starts = np.arange(m)
+    # run[s, k] sums the k sorted rows from position s on, cyclically
+    run = prefix[starts[:, None] + starts[None, :]] - prefix[starts, None]
+    tot = lambda_min_2x2_batch(run) + lambda_min_2x2_batch(prefix[m] - run)
+    s, k = divmod(int(np.argmin(tot)), m)
+    rows = order[(s + np.arange(k)) % m]
+    if m - 1 in rows:
+        rows = np.setdiff1d(np.arange(m), rows)
+    return float(np.sqrt(tot[s, k])), tuple(int(i) for i in np.sort(rows))
+
+
 def lower_lipschitz_exact_real(A: np.ndarray, threads: int = 1) -> tuple[float, tuple[int, ...]]:
     """Exact optimal lower constant of a real matrix, with a minimizing subset.
 
     Minimizes sqrt(lambda_min(G_I) + lambda_min(G_{I^c})) over row splits;
-    the empty side contributes 0.  Returns (value, subset indices).
+    the empty side contributes 0.  Returns (value, subset indices): sorted,
+    0-based, with row m-1 always in the complement.  d = 2 scores angular
+    arcs in O(m^2); other d enumerate the splits, over `threads` workers.
     """
     _require_real_enumerable(A)
     m = A.shape[0]
+    if A.shape[1] == 2:
+        return _lower_exact_arcs(A)
 
     def chunk_min(masks, lam_i, lam_c):
         tot = lam_i + lam_c
@@ -259,6 +289,7 @@ def _pair_pattern_search(
     Polls a randomized orthonormal direction set each iteration; steps halve
     on failure.  The objective is non-smooth at measurement-hyperplane
     crossings, so randomized polling avoids coordinate-direction stalls.
+    Returns (Z, vals, iterations, stop_reason).
     """
     d = A.shape[1]
     cplx = np.iscomplexobj(A)
@@ -288,7 +319,7 @@ def _pair_pattern_search(
         Z[took] = cand.reshape(len(act), -1, n)[impr, kb[impr]]
         vals[took] = vb[impr]
         h[act[~impr]] *= 0.5
-    return Z, vals, it
+    return Z, vals, it, "budget" if (h > hmin).any() else "converged"
 
 
 def _golden_refine(fun, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
@@ -361,10 +392,10 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator, grid: int
     seeds = np.argsort(vals)[:12]
     X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
     Z0 = np.concatenate([X0.T, U0.T], axis=1)
-    Z, v2, it = _pair_pattern_search(A, Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500)
+    Z, v2, it, stop = _pair_pattern_search(A, Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500)
     k = int(np.argmin(v2))
     X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
-    return X[0], U[0], float(min(vals[seeds[0]], v2[k])), it
+    return X[0], U[0], float(min(vals[seeds[0]], v2[k])), it, stop
 
 
 def lower_lipschitz_numeric(
@@ -390,16 +421,19 @@ def lower_lipschitz_numeric(
         x = np.ones(1, dtype=A.dtype)
         y = np.zeros(1, dtype=A.dtype)
         ratio = float(np.linalg.norm(phaseless_map(A, x)))
-        return ratio, PairCertificate(x=x, y=y, ratio=ratio, iterations=0, restarts=restarts)
+        return ratio, PairCertificate(
+            x=x, y=y, ratio=ratio, iterations=0, restarts=restarts, stop_reason="closed_form"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     cands: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     if d == 2 and field_of(A) is Field.REAL:
         # dense single-angle grid plus golden-section refinement is global here
         x, u, v, iterations = _numeric_lower_d2_real(A)
+        stop = "converged"
         cands.append((v, x, u))
     elif d == 2:
-        x, u, v, iterations = _numeric_lower_d2_complex(A, rng)
+        x, u, v, iterations, stop = _numeric_lower_d2_complex(A, rng)
         cands.append((v, x, u))
     else:
         cplx = field_of(A) is Field.COMPLEX
@@ -417,7 +451,7 @@ def lower_lipschitz_numeric(
                     z[d + j] = 1.0
                     extra.append(z)
         Z0 = np.vstack([Z0] + [np.array(extra)]) if extra else Z0
-        Z, vals, iterations = _pair_pattern_search(
+        Z, vals, iterations, stop = _pair_pattern_search(
             A, Z0, rng, hmin=tol * 1e-2, max_iter=max_iters
         )
         k = int(np.argmin(vals))
@@ -431,7 +465,12 @@ def lower_lipschitz_numeric(
     denom = dist(best_x, y)
     ratio = float(np.linalg.norm(phaseless_map(A, best_x) - phaseless_map(A, y)) / denom)
     cert = PairCertificate(
-        x=best_x, y=y, ratio=ratio, iterations=iterations, restarts=restarts
+        x=best_x,
+        y=y,
+        ratio=ratio,
+        iterations=iterations,
+        restarts=restarts,
+        stop_reason=stop,
     )
     return ratio, cert
 
@@ -580,6 +619,8 @@ def optimize_frame_r2(
         raise ValueError(f"need m >= 3, got {m}")
     if m > 16:
         raise EnumerationCapError(m)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
     n = 2 * m - 1
 

@@ -42,6 +42,14 @@ class TestMatrixFile:
             read_matrix(path)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, cell):
+        path = tmp_path / "bad.mat"
+        path.write_text(f"# field: real, m: 2, d: 2\n1.0,2.0\n{cell},1.0\n")
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(path)
+        assert err.value.line == 3
+
     def test_wrong_row_count(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_text("# field: real, m: 3, d: 2\n1.0,2.0\n")
@@ -94,6 +102,29 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--matrix", str(path))
         assert code == 3
         assert "header" in err
+
+    @pytest.mark.parametrize("method", ["exact", "numeric"])
+    def test_non_finite_file_exits_3(self, tmp_path, capsys, method):
+        path = tmp_path / "nan.mat"
+        path.write_text("# field: real, m: 3, d: 2\n1.0,0.0\n0.0,nan\n0.5,0.5\n")
+        out_json = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", method, "--json", str(out_json)
+        )
+        assert code == 3
+        assert err.startswith("error:") and ":3: non-finite" in err
+        assert "Traceback" not in err and out == ""
+        assert not out_json.exists()
+
+    def test_numeric_reports_stop_reason(self, tmp_path, capsys):
+        path = tmp_path / "r.mat"
+        write_matrix(path, sample_gaussian_matrix(6, 3, Field.REAL, seed=1))
+        code, out, _ = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", "numeric", "--restarts", "8"
+        )
+        assert code == 0
+        pair = json.loads(out)["certificate"]["pair"]
+        assert pair["iterations"] == 4000 and pair["stop_reason"] == "budget"
 
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--matrix", "/nonexistent/x.mat")
@@ -239,3 +270,8 @@ class TestOptimizeCommand:
     def test_out_of_range_exits_2(self, capsys):
         assert run_cli(capsys, "optimize", "--m", "2")[0] == 2
         assert run_cli(capsys, "optimize", "--m", "17")[0] == 2
+
+    def test_zero_restarts_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "optimize", "--m", "4", "--restarts", "0")
+        assert code == 2
+        assert "--restarts" in err

@@ -218,3 +218,10 @@ class TestAsMatrix:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             as_matrix(np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        rows = np.ones((3, 2), dtype=complex if isinstance(bad, complex) else float)
+        rows[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            as_matrix(rows)

@@ -8,6 +8,7 @@ from prstab import (
     dist,
     harmonic_condition_number,
     harmonic_frame,
+    harmonic_lower_constant,
     lower_lipschitz_exact_real,
     lower_lipschitz_numeric,
     optimize_frame_r2,
@@ -105,6 +106,68 @@ class TestExactLower:
         assert v1 == v4 and s1 == s4
 
 
+def d2_corpus(seed: int = 2404):
+    """Seeded m x 2 matrices, m = 1..14, two per m; the second of each pair
+    carries a zero row and rows parallel and antiparallel to row 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for m in range(1, 15):
+        out.append(rng.standard_normal((m, 2)))
+        A = rng.standard_normal((m, 2))
+        if m >= 2:
+            A[m - 1] = 0.0
+        if m >= 3:
+            A[1] = 2.5 * A[0]
+        if m >= 4:
+            A[2] = -0.5 * A[0]
+        out.append(A)
+    return out
+
+
+def split_value(A, subset):
+    """lambda_min(G_I) + lambda_min(G_{I^c}) by a reference eigensolver."""
+    C = [i for i in range(A.shape[0]) if i not in subset]
+    lam = [np.linalg.eigvalsh(A[J].T @ A[J])[0] if J else 0.0 for J in (list(subset), C)]
+    return max(lam[0], 0.0) + max(lam[1], 0.0)
+
+
+class TestArcPath:
+    """Real d = 2 exact lower constant over angular arcs."""
+
+    def test_matches_brute_force_with_degenerate_rows(self):
+        for A in d2_corpus():
+            val, _ = lower_lipschitz_exact_real(A)
+            ref, _ = brute_force_lower(A)
+            assert abs(val**2 - ref**2) <= 1e-12 * upper_lipschitz(A) ** 2
+
+    def test_harmonic_frames(self):
+        for m in range(3, 25):
+            val, _ = lower_lipschitz_exact_real(harmonic_frame(m).matrix)
+            assert abs(val - harmonic_lower_constant(m)) < 1e-12
+
+    def test_subset_certificate(self):
+        for A in d2_corpus(seed=77):
+            m = A.shape[0]
+            val, subset = lower_lipschitz_exact_real(A)
+            assert m - 1 not in subset
+            assert list(subset) == sorted(set(subset))
+            assert all(0 <= i < m for i in subset)
+            assert abs(split_value(A, subset) - val**2) <= 1e-12 * upper_lipschitz(A) ** 2
+
+
+class TestExactLowerHigherDim:
+    """d >= 4 splits go through one batched eigensolver call."""
+
+    @pytest.mark.parametrize("m,d", [(7, 4), (9, 4), (9, 5), (6, 6)])
+    def test_matches_brute_force(self, m, d):
+        A = np.random.default_rng(m * 10 + d).standard_normal((m, d))
+        val, subset = lower_lipschitz_exact_real(A)
+        ref, _ = brute_force_lower(A)
+        assert abs(val**2 - ref**2) <= 1e-12 * upper_lipschitz(A) ** 2
+        assert abs(split_value(A, subset) - val**2) <= 1e-12 * upper_lipschitz(A) ** 2
+        assert abs(split_bound(A) - brute_force_split_bound(A)) < 1e-10
+
+
 class TestSplitBound:
     def test_harmonic_m3(self):
         assert abs(split_bound(harmonic_frame(3).matrix) - np.sqrt(0.5)) < 1e-12
@@ -175,6 +238,24 @@ class TestNumericLower:
         val, cert = lower_lipschitz_numeric(A)
         assert abs(val - np.sqrt(5)) < 1e-12
         assert np.linalg.norm(cert.y) == 0.0
+        assert cert.stop_reason == "closed_form"
+
+    def test_stop_reason_budget(self):
+        # this 12 x 4 search still has live steps at the 4000-iteration cap
+        rng = np.random.default_rng([1, 20240411])
+        A = rng.standard_normal((12, 4))
+        seed = int(rng.integers(0, 2**31 - 1))
+        _, cert = lower_lipschitz_numeric(A, restarts=128, seed=seed)
+        assert cert.iterations == 4000
+        assert cert.stop_reason == "budget"
+
+    def test_stop_reason_converged(self):
+        rng = np.random.default_rng(8)
+        _, cert = lower_lipschitz_numeric(rng.standard_normal((6, 3)), restarts=8, seed=2)
+        assert cert.iterations < 4000
+        assert cert.stop_reason == "converged"
+        _, cert = lower_lipschitz_numeric(harmonic_frame(5).matrix)
+        assert cert.stop_reason == "converged"
 
 
 class TestConditionNumber:
@@ -301,6 +382,8 @@ class TestFrameOptimizer:
             optimize_frame_r2(2)
         with pytest.raises(EnumerationCapError):
             optimize_frame_r2(17)
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            optimize_frame_r2(4, restarts=0)
 
     def test_polar_roundtrip(self):
         frame, beta = optimize_frame_r2(3, restarts=8, seed=1)
