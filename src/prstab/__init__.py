@@ -5,7 +5,6 @@ magnitude least-squares recovery."""
 __version__ = "0.1.0"
 
 from .linalg import (
-    EigenConvergenceError,
     Field,
     FieldMismatchError,
     dist,

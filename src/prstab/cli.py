@@ -132,6 +132,8 @@ def _parse_field(name: str) -> Field:
 
 
 def cmd_analyze(args) -> int:
+    if args.restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {args.restarts}")
     A = read_matrix(args.matrix)
     method = METHOD_EXACT if args.method == "exact" else METHOD_NUMERIC
     threads = resolve_threads(args.threads)
@@ -260,7 +262,7 @@ def cmd_recover(args) -> int:
             raise ConfigError("--gaussian sizes must be >= 1")
     field = _parse_field(args.field)
 
-    threads = resolve_threads(args.threads)
+    resolve_threads(args.threads)  # validated only: recovery runs its starts serially
     rows = []
     certified = 0
     holds = 0
@@ -269,9 +271,7 @@ def cmd_recover(args) -> int:
             problem = make_problem_for_matrix(matrix, args.noise, args.seed, stream=trial)
         else:
             problem = make_gaussian_problem(gm, gd, field, args.noise, args.seed, stream=trial)
-        result = solve_quadratic_model(
-            problem, restarts=args.restarts, seed=args.seed + trial, threads=threads
-        )
+        result = solve_quadratic_model(problem, restarts=args.restarts, seed=args.seed + trial)
         bound = check_error_bound(result, problem, delta=args.delta)
         certified += int(result.certified)
         holds += int(result.certified and bound["holds"])
@@ -327,13 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p):
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="worker pool size (default: PRSTAB_THREADS or logical cores)",
-        )
+    def add_threads(p, text="worker pool size (default: PRSTAB_THREADS or logical cores)"):
+        p.add_argument("--threads", type=int, default=None, help=text)
 
     p = sub.add_parser("analyze", help="condition number of a matrix file")
     p.add_argument("--matrix", required=True)
@@ -378,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--csv", default=None)
-    add_threads(p)
+    add_threads(p, "accepted and validated; does not affect recover, which runs serially")
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("optimize", help="search for the best m x 2 real frame")

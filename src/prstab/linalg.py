@@ -3,7 +3,9 @@
 Matrices are plain numpy arrays of shape (m, d); the scalar field is carried
 by the dtype (float64 for the real field, complex128 for the complex field).
 Row i of a matrix is the i-th measurement functional, i.e. the map applies as
-``A @ x`` and the i-th magnitude is ``abs((A @ x)[i])``.
+``A @ x`` and the i-th magnitude is ``abs((A @ x)[i])``.  Hermitian
+eigenproblems go through LAPACK (``numpy.linalg.eigvalsh``/``eigh``); the
+batched closed forms for 2x2 and 3x3 score row splits in bulk.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ import enum
 
 import numpy as np
 
-DEFAULT_EIG_TOL = 1e-12
-JACOBI_SWEEP_FACTOR = 100  # iteration cap = 100 * d**2 sweeps
+# Largest accepted sum |a_ij|^2.  That sum bounds every Gram entry and every
+# |Ax|^2 for a unit x; the eigenvalue closed forms and the pair-ratio kernel
+# square such values and add a few of them, so it must stay well below the
+# square root of the largest float.
+GRAM_LIMIT = float(np.sqrt(np.finfo(np.float64).max)) / 4
 
 
 class Field(enum.Enum):
@@ -25,21 +30,6 @@ class FieldMismatchError(ValueError):
     """Operands live over different scalar fields or dimensions."""
 
 
-class EigenConvergenceError(RuntimeError):
-    """Jacobi iteration exhausted its sweep cap.
-
-    Carries the remaining off-diagonal residual for diagnostics.
-    """
-
-    def __init__(self, residual: float, sweeps: int):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps "
-            f"(off-diagonal residual {residual:.3e})"
-        )
-        self.residual = residual
-        self.sweeps = sweeps
-
-
 def field_of(a: np.ndarray) -> Field:
     return Field.COMPLEX if np.iscomplexobj(a) else Field.REAL
 
@@ -47,7 +37,8 @@ def field_of(a: np.ndarray) -> Field:
 def as_matrix(rows, field: Field | None = None) -> np.ndarray:
     """Coerce to a 2-d measurement matrix, optionally forcing a field tag.
 
-    Raises ValueError on a wrong shape or a non-finite entry.
+    Raises ValueError on a wrong shape, a non-finite entry, or entries whose
+    sum of squared magnitudes exceeds GRAM_LIMIT.
     """
     raw = np.asarray(rows)
     if field is Field.REAL and np.iscomplexobj(raw):
@@ -60,6 +51,12 @@ def as_matrix(rows, field: Field | None = None) -> np.ndarray:
         a = a.astype(np.float64)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite (got nan or inf)")
+    with np.errstate(over="ignore"):
+        if not np.sum(np.abs(a) ** 2) <= GRAM_LIMIT:
+            raise ValueError(
+                f"matrix entries too large: sum of squared entries exceeds {GRAM_LIMIT:.3e}, "
+                "so squared Gram entries would overflow"
+            )
     return a
 
 
@@ -117,110 +114,17 @@ def dist_batch(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.minimum(np.linalg.norm(X - Y, axis=0), np.linalg.norm(X + Y, axis=0))
 
 
-def _offdiag_norm(H: np.ndarray) -> float:
-    off = H - np.diag(np.diag(H))
-    return float(np.linalg.norm(off))
-
-
-def _eigh_jacobi(H: np.ndarray, tol: float, want_vectors: bool):
-    """Cyclic Jacobi diagonalization for a Hermitian matrix.
-
-    Rotations carry a phase so the complex case reduces to the classical
-    real plane rotation.  Converges unconditionally for Hermitian input.
-    """
-    d = H.shape[0]
-    cplx = np.iscomplexobj(H)
-    a = H.astype(np.complex128 if cplx else np.float64).copy()
-    V = np.eye(d, dtype=a.dtype) if want_vectors else None
-    scale = max(float(np.linalg.norm(H)), 1.0)
-    max_sweeps = JACOBI_SWEEP_FACTOR * d * d
-    for sweep in range(max_sweeps):
-        if _offdiag_norm(a) <= tol * scale:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= tol * scale / (d * d):
-                    continue
-                phase = apq / abs(apq) if cplx else (1.0 if apq > 0 else -1.0)
-                app = a[p, p].real
-                aqq = a[q, q].real
-                tau = (aqq - app) / (2 * abs(apq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # columns p, q of the rotation: [c, s*conj(phase); -s*phase, c]
-                col_p = a[:, p] * c - a[:, q] * s * np.conj(phase)
-                col_q = a[:, p] * s * phase + a[:, q] * c
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = a[p, :] * c - a[q, :] * s * phase
-                row_q = a[p, :] * s * np.conj(phase) + a[q, :] * c
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if want_vectors:
-                    vp = V[:, p] * c - V[:, q] * s * np.conj(phase)
-                    vq = V[:, p] * s * phase + V[:, q] * c
-                    V[:, p], V[:, q] = vp, vq
-    else:
-        raise EigenConvergenceError(_offdiag_norm(a), max_sweeps)
-    w = np.real(np.diag(a))
-    order = np.argsort(w, kind="stable")
-    if want_vectors:
-        return w[order], V[:, order]
-    return w[order], None
-
-
-def _eigh_small(H: np.ndarray, want_vectors: bool):
-    """Closed forms for d <= 2."""
-    d = H.shape[0]
-    if d == 1:
-        w = np.array([H[0, 0].real])
-        return (w, np.ones((1, 1), dtype=H.dtype)) if want_vectors else (w, None)
-    a = H[0, 0].real
-    c = H[1, 1].real
-    b = H[0, 1]
-    half = (a - c) / 2
-    rad = np.hypot(half, abs(b))
-    mean = (a + c) / 2
-    w = np.array([mean - rad, mean + rad])
-    if not want_vectors:
-        return w, None
-    if abs(b) == 0.0:
-        V = np.eye(2, dtype=H.dtype)
-        if a > c:
-            V = V[:, ::-1]
-        return w, V
-    # eigenvector for the larger eigenvalue, then its orthogonal complement
-    v1 = np.array([b, w[1] - a], dtype=np.complex128 if np.iscomplexobj(H) else np.float64)
-    v1 = v1 / np.linalg.norm(v1)
-    v0 = np.array([-np.conj(v1[1]), np.conj(v1[0])], dtype=v1.dtype)
-    V = np.stack([v0, v1], axis=1)
-    return w, V
-
-
-def eig_hermitian(H: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Uses the quadratic closed form for d <= 2 and cyclic Jacobi sweeps for
-    d >= 3.  `tol` bounds the final off-diagonal norm relative to ||H||_F.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+def eig_hermitian(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending (LAPACK via numpy)."""
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if H.shape[0] <= 2:
-        return _eigh_small(H, want_vectors=False)[0]
-    return _eigh_jacobi(H, tol, want_vectors=False)[0]
+    return np.linalg.eigvalsh(H)
 
 
-def eigh_with_vectors(H: np.ndarray, tol: float = DEFAULT_EIG_TOL):
+def eigh_with_vectors(H: np.ndarray):
     """Like `eig_hermitian` but also returns the eigenvector columns."""
-    H = np.asarray(H)
-    if H.shape[0] <= 2:
-        return _eigh_small(H, want_vectors=True)
-    return _eigh_jacobi(H, tol, want_vectors=True)
+    return np.linalg.eigh(H)
 
 
 def spectral_norm(A: np.ndarray) -> float:

@@ -91,4 +91,7 @@ def read_matrix(path) -> np.ndarray:
             out[r] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
         else:
             out[r] = vals
-    return as_matrix(out, field)
+    try:
+        return as_matrix(out, field)
+    except ValueError as exc:
+        raise MatrixFormatError(path, data_lines[-1][0], str(exc)) from None

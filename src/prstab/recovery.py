@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
 from .gaussian import sample_gaussian_matrix, stream_rng
 from .linalg import Field, dist, eigh_with_vectors, field_of, phaseless_map
 from .stability import universal_lower_bound
@@ -117,15 +116,14 @@ def solve_quadratic_model(
     tol: float = 1e-12,
     seed: int = 0,
     spectral_init: bool = True,
-    threads: int = 1,
 ) -> RecoveryResult:
     """Alternating minimization for the magnitude least-squares model.
 
     Each start repeats: fix the measurement phases at the current iterate,
     solve the phased linear least-squares problem, stop when the residual
     decrease falls below `tol`.  The residual is nonincreasing within a
-    start.  Starts are independent (and may run on a worker pool); the best
-    (residual, start index) wins deterministically either way.
+    start.  Starts run one after another; the best (residual, start index)
+    wins.
     """
     if restarts < 0 or max_iters < 1:
         raise ValueError("need restarts >= 0 and max_iters >= 1")
@@ -176,7 +174,7 @@ def solve_quadratic_model(
             prev = res
         return x, tuple(hist)
 
-    outcomes = workers.run_indexed(run_start, starts, threads)
+    outcomes = [run_start(x0) for x0 in starts]
     total_iters = sum(len(hist) for _, hist in outcomes)
     best_si = min(range(len(outcomes)), key=lambda si: (outcomes[si][1][-1], si))
     best_x, best_hist = outcomes[best_si]

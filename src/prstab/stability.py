@@ -276,49 +276,56 @@ def _orthonormalize_batch(Z: np.ndarray, d: int):
     return X, U, ok
 
 
-def _pair_pattern_search(
-    A: np.ndarray,
-    Z0: np.ndarray,
-    rng: np.random.Generator,
-    h0: float = 0.5,
-    hmin: float = 1e-8,
-    max_iter: int = 4000,
-):
-    """Batched pattern search over raw (x, u) charts, one state per row of Z0.
-
-    Polls a randomized orthonormal direction set each iteration; steps halve
-    on failure.  The objective is non-smooth at measurement-hyperplane
-    crossings, so randomized polling avoids coordinate-direction stalls.
-    Returns (Z, vals, iterations, stop_reason).
-    """
+def _pair_objective(A: np.ndarray):
+    """Squared pair ratio of raw (x_raw | u_raw) rows; inf where they degenerate."""
     d = A.shape[1]
-    cplx = np.iscomplexobj(A)
-    Z = Z0.astype(np.complex128 if cplx else np.float64).copy()
+
+    def objective(Z: np.ndarray) -> np.ndarray:
+        X, U, ok = _orthonormalize_batch(Z, d)
+        v = _ratio_sq_min_over_scale(A, X.T, U.T)
+        v[~ok] = np.inf
+        return v
+
+    return objective
+
+
+def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
+    """Batched randomized pattern search, one state per row of Z0.
+
+    Each iteration polls +/- the columns of `sets` random orthonormal bases
+    (and i times those directions for complex states) around every state
+    whose step is still above `hmin`.  A state moves to its best candidate
+    when that improves its value and its step grows by `expand`; otherwise
+    the step shrinks by `shrink`.  The objectives are non-smooth, so
+    randomized polling avoids coordinate-direction stalls.  Returns (Z, vals,
+    iterations, stop_reason): "budget" if a step is still live at
+    `max_iter`, else "converged".
+    """
+    Z = Z0.copy()
     ns, n = Z.shape
-    X, U, ok = _orthonormalize_batch(Z, d)
-    vals = _ratio_sq_min_over_scale(A, X.T, U.T)
-    vals[~ok] = np.inf
+    vals = objective(Z)
     h = np.full(ns, h0)
     it = 0
     while it < max_iter and (h > hmin).any():
         it += 1
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        dirs = np.vstack([Q.T, -Q.T])
-        if cplx:
-            dirs = np.vstack([dirs, 1j * dirs[: 2 * n]])
+        blocks = []
+        for _ in range(sets):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            blocks.extend([Q.T, -Q.T])
+        dirs = np.vstack(blocks)
+        if np.iscomplexobj(Z):
+            dirs = np.vstack([dirs, 1j * dirs])
         act = np.flatnonzero(h > hmin)
         cand = (Z[act, None, :] + h[act, None, None] * dirs[None, :, :]).reshape(-1, n)
-        Xc, Uc, okc = _orthonormalize_batch(cand, d)
-        v = _ratio_sq_min_over_scale(A, Xc.T, Uc.T)
-        v[~okc] = np.inf
-        v = v.reshape(len(act), -1)
+        v = objective(cand).reshape(len(act), -1)
         kb = np.argmin(v, axis=1)
         vb = v[np.arange(len(act)), kb]
         impr = vb < vals[act] - 1e-15
         took = act[impr]
         Z[took] = cand.reshape(len(act), -1, n)[impr, kb[impr]]
         vals[took] = vb[impr]
-        h[act[~impr]] *= 0.5
+        h[took] *= expand
+        h[act[~impr]] *= shrink
     return Z, vals, it, "budget" if (h > hmin).any() else "converged"
 
 
@@ -392,7 +399,9 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator, grid: int
     seeds = np.argsort(vals)[:12]
     X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
     Z0 = np.concatenate([X0.T, U0.T], axis=1)
-    Z, v2, it, stop = _pair_pattern_search(A, Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500)
+    Z, v2, it, stop = _poll(
+        _pair_objective(A), Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500, shrink=0.5, expand=1.0
+    )
     k = int(np.argmin(v2))
     X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
     return X[0], U[0], float(min(vals[seeds[0]], v2[k])), it, stop
@@ -451,8 +460,15 @@ def lower_lipschitz_numeric(
                     z[d + j] = 1.0
                     extra.append(z)
         Z0 = np.vstack([Z0] + [np.array(extra)]) if extra else Z0
-        Z, vals, iterations, stop = _pair_pattern_search(
-            A, Z0, rng, hmin=tol * 1e-2, max_iter=max_iters
+        Z, vals, iterations, stop = _poll(
+            _pair_objective(A),
+            Z0,
+            rng,
+            h0=0.5,
+            hmin=tol * 1e-2,
+            max_iter=max_iters,
+            shrink=0.5,
+            expand=1.0,
         )
         k = int(np.argmin(vals))
         X, U, ok = _orthonormalize_batch(Z[k : k + 1], d)
@@ -578,32 +594,6 @@ def _frames_angles_only(P: np.ndarray, m: int) -> np.ndarray:
     return np.stack([np.cos(ang), np.sin(ang)], axis=2)
 
 
-def _polling_search(P, m, make, h0, hmin, rng, max_iter=8000, shrink=0.6, expand=1.0, sets=1):
-    n = P.shape[1]
-    vals = _frame_beta_batch(make(P, m))
-    h = np.full(P.shape[0], h0)
-    it = 0
-    while it < max_iter and (h > hmin).any():
-        it += 1
-        blocks = []
-        for _ in range(sets):
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            blocks.extend([Q.T, -Q.T])
-        dirs = np.vstack(blocks)
-        act = np.flatnonzero(h > hmin)
-        cand = (P[act, None, :] + h[act, None, None] * dirs[None, :, :]).reshape(-1, n)
-        v = _frame_beta_batch(make(cand, m)).reshape(len(act), -1)
-        kb = np.argmin(v, axis=1)
-        vb = v[np.arange(len(act)), kb]
-        impr = vb < vals[act] - 1e-15
-        took = act[impr]
-        P[took] = cand.reshape(len(act), -1, n)[impr, kb[impr]]
-        vals[took] = vb[impr]
-        h[took] *= expand
-        h[act[~impr]] *= shrink
-    return P, vals
-
-
 def optimize_frame_r2(
     m: int, restarts: int = 48, seed: int = 0, budget: int = 8000
 ) -> tuple[FramePolar, float]:
@@ -622,7 +612,12 @@ def optimize_frame_r2(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
-    n = 2 * m - 1
+
+    def joint(P):
+        return _frame_beta_batch(_frames_from_params(P, m))
+
+    def angles_only(P):
+        return _frame_beta_batch(_frames_angles_only(P, m))
 
     P_joint = np.concatenate(
         [
@@ -631,27 +626,25 @@ def optimize_frame_r2(
         ],
         axis=1,
     )
-    P_joint, v_joint = _polling_search(
-        P_joint, m, _frames_from_params, h0=0.6, hmin=1e-5, rng=rng, max_iter=budget
+    P_joint, v_joint, _, _ = _poll(
+        joint, P_joint, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
     )
 
     P_ang = rng.uniform(0, np.pi, (restarts, m - 1))
-    P_ang, v_ang = _polling_search(
-        P_ang, m, _frames_angles_only, h0=0.6, hmin=1e-5, rng=rng, max_iter=budget
+    P_ang, v_ang, _, _ = _poll(
+        angles_only, P_ang, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
     )
     P_ang_full = np.concatenate([P_ang, np.ones((P_ang.shape[0], m))], axis=1)
 
     P_all = np.vstack([P_joint, P_ang_full])
     v_all = np.concatenate([v_joint, v_ang])
     top = np.argsort(v_all)[:6]
-    polish = P_all[top].copy()
-    polish, v_pol = _polling_search(
-        polish,
-        m,
-        _frames_from_params,
+    polish, v_pol, _, _ = _poll(
+        joint,
+        P_all[top],
+        rng,
         h0=0.05,
         hmin=1e-12,
-        rng=rng,
         max_iter=int(1.5 * budget),
         shrink=0.65,
         expand=1.8,

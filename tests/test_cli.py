@@ -116,6 +116,29 @@ class TestAnalyze:
         assert "Traceback" not in err and out == ""
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("method", ["exact", "numeric"])
+    def test_overflowing_gram_exits_3(self, tmp_path, capsys, method):
+        path = tmp_path / "big.mat"
+        path.write_text("# field: real, m: 4, d: 3\n" + "1e200,1e200,1e200\n" * 4)
+        out_json = tmp_path / "report.json"
+        code, out, err = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", method, "--json", str(out_json)
+        )
+        assert code == 3
+        assert err.startswith("error:") and "too large" in err
+        assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("method", ["exact", "numeric"])
+    def test_zero_restarts_exits_2(self, tmp_path, capsys, method):
+        path = tmp_path / "e3.mat"
+        write_matrix(path, harmonic_frame(3).matrix)
+        code, out, err = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", method, "--restarts", "0"
+        )
+        assert code == 2 and out == ""
+        assert "--restarts" in err
+
     def test_numeric_reports_stop_reason(self, tmp_path, capsys):
         path = tmp_path / "r.mat"
         write_matrix(path, sample_gaussian_matrix(6, 3, Field.REAL, seed=1))

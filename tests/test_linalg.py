@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from prstab import (
-    EigenConvergenceError,
     Field,
     FieldMismatchError,
     dist,
@@ -90,13 +89,9 @@ class TestEigHermitian:
         w, V = eigh_with_vectors(H)
         assert np.allclose(H @ V, V @ np.diag(w), atol=1e-10)
 
-    def test_bad_tol_rejected(self):
-        with pytest.raises(ValueError):
-            eig_hermitian(np.eye(2), tol=0.0)
-
-    def test_convergence_error_carries_residual(self):
-        err = EigenConvergenceError(residual=0.5, sweeps=3)
-        assert err.residual == 0.5
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            eig_hermitian(np.ones((2, 3)))
 
 
 class TestSpectralNorm:
@@ -225,3 +220,12 @@ class TestAsMatrix:
         rows[1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             as_matrix(rows)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e100])
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_overflowing_gram_rejected(self, scale, cplx):
+        # finite entries whose Gram entries (1e200) or their squares (1e100) overflow
+        rows = np.full((4, 3), scale, dtype=complex if cplx else float)
+        with pytest.raises(ValueError, match="too large"):
+            as_matrix(rows)
+        as_matrix(np.full((4, 3), 1e70))

@@ -82,14 +82,6 @@ class TestSolver:
         assert np.array_equal(r1.x_hat, r2.x_hat)
         assert r1.residual == r2.residual
 
-    def test_thread_count_does_not_change_result(self):
-        problem = make_gaussian_problem(100, 4, Field.REAL, noise_level=0.05, seed=9)
-        r1 = solve_quadratic_model(problem, seed=9, threads=1)
-        r4 = solve_quadratic_model(problem, seed=9, threads=4)
-        assert np.array_equal(r1.x_hat, r4.x_hat)
-        assert r1.residual_history == r4.residual_history
-        assert r1.best_start == r4.best_start
-
 
 class TestProblemSynthesis:
     def test_exact_decomposition_and_nonnegativity(self):

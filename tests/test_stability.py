@@ -14,10 +14,12 @@ from prstab import (
     optimize_frame_r2,
     phaseless_map,
     real_beta_lower_bound,
+    sample_gaussian_matrix,
     split_bound,
     universal_lower_bound,
     upper_lipschitz,
 )
+from prstab.linalg import GRAM_LIMIT
 from prstab.stability import (
     METHOD_EXACT,
     METHOD_NUMERIC,
@@ -322,6 +324,16 @@ class TestInvariances:
         assert abs(rb.lower - c * ra.lower) < 1e-9
         assert abs(rb.upper - c * ra.upper) < 1e-9
 
+    def test_scaling_up_to_gram_limit(self):
+        # the largest scale as_matrix accepts must not overflow either route
+        E = harmonic_frame(3).matrix
+        c = np.sqrt(GRAM_LIMIT / 3) * (1 - 1e-9)
+        with np.errstate(over="raise"):
+            for method in (METHOD_EXACT, METHOD_NUMERIC):
+                rep = condition_number(c * E, method)
+                assert rep.beta == pytest.approx(np.sqrt(3), rel=1e-12)
+                assert rep.lower / c == pytest.approx(np.sqrt(0.5), rel=1e-12)
+
     def test_unimodular_row_scaling_complex(self):
         rng = np.random.default_rng(18)
         A = (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))) / np.sqrt(2)
@@ -390,3 +402,32 @@ class TestFrameOptimizer:
         rows = frame.rows()
         assert rows.shape == (3, 2)
         assert abs((frame.radii**2).sum() - 3.0) < 1e-9
+
+
+class TestSearchEngineRegression:
+    """Seeded search results pinned before the two pattern searches were merged."""
+
+    @pytest.mark.parametrize(
+        "m, d, field, seed, value, iterations, stop_reason",
+        [
+            (10, 3, Field.REAL, 3, 0.9129430383835907, 4000, "budget"),
+            (16, 3, Field.COMPLEX, 5, 0.5135774570882656, 1008, "converged"),
+            (14, 2, Field.COMPLEX, 7, 1.3812372866456653, 54, "converged"),
+        ],
+    )
+    def test_numeric_lower(self, m, d, field, seed, value, iterations, stop_reason):
+        A = sample_gaussian_matrix(m, d, field, seed=seed)
+        val, cert = lower_lipschitz_numeric(A, seed=seed)
+        assert val == pytest.approx(value, rel=1e-12, abs=0)
+        assert cert.iterations == iterations
+        assert cert.stop_reason == stop_reason
+
+    def test_frame_optimizer(self):
+        frame, beta = optimize_frame_r2(5, restarts=8, budget=2000)
+        assert beta == pytest.approx(1.6836200145679332, rel=1e-12, abs=0)
+        radii = [1.0000011755711038, 0.9999938560083795, 1.000008765551018,
+                 1.0000042419340636, 0.9999919608361416]
+        angles = [0.0, 0.6283116922426535, 1.2566338313571668,
+                  2.5132666663891445, 1.8849533620479766]
+        assert frame.radii == pytest.approx(radii, rel=1e-12, abs=0)
+        assert frame.angles == pytest.approx(angles, rel=1e-12, abs=1e-15)
