@@ -40,6 +40,7 @@ from .recovery import (
 )
 from .stability import (
     ENUMERATION_CAP,
+    FRAME_ROW_CAP,
     METHOD_EXACT,
     METHOD_NUMERIC,
     EnumerationCapError,
@@ -296,8 +297,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if not (3 <= args.m <= 16):
-        raise ConfigError(f"--m must lie in [3, 16], got {args.m}")
+    if not (3 <= args.m <= FRAME_ROW_CAP):
+        raise ConfigError(f"--m must lie in [3, {FRAME_ROW_CAP}], got {args.m}")
     if args.restarts < 1:
         raise ConfigError(f"--restarts must be >= 1, got {args.restarts}")
     frame, beta_best = optimize_frame_r2(args.m, restarts=args.restarts, seed=args.seed)
@@ -391,7 +392,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (MatrixFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (

@@ -55,7 +55,12 @@ def write_matrix(path, A: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise MatrixFormatError(path, line, f"not UTF-8 text: {exc.reason}") from None
     lines = text.splitlines()
     if not lines:
         raise MatrixFormatError(path, 1, "empty file")

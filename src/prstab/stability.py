@@ -3,10 +3,12 @@
 Two routes to the lower constant: the exact minimum over row splits (real
 field, capped at ENUMERATION_CAP rows) and constrained numerical
 minimization over orthogonal pairs (both fields).  The exact route scores
-the O(m^2) angular arcs for d = 2 and enumerates all 2^(m-1) splits for
-other d.  The upper constant is always the spectral norm.  Also provides
-the universal condition-number floors and a derivative-free optimizer
-probing the best m x 2 real frame.
+the O(m^2) angular arcs for d = 2.  For other d, for `split_bound` and for
+the frame optimizer's objective, the Gram sums of all 2^(m-1) splits come
+from one subset-sum table built by doubling, one vectorized add per row,
+and each sum adds its rows in increasing index order.  The upper constant
+is always the spectral norm.  Also provides the universal condition-number
+floors and a derivative-free optimizer probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ from .linalg import (
 )
 
 ENUMERATION_CAP = 24
-ENUM_CHUNK = 1 << 16
+FRAME_ROW_CAP = 16  # optimize_frame_r2 scores 2^(m-1) splits of every candidate frame
+ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
+ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
 
 METHOD_EXACT = "exact_real_subset"
@@ -36,13 +40,16 @@ METHOD_NUMERIC = "numeric_orth_pair"
 
 
 class EnumerationCapError(ValueError):
-    """Exact enumeration requested beyond the subset cap."""
+    """Split enumeration requested beyond a row cap."""
 
-    def __init__(self, m: int):
-        super().__init__(
-            f"exact subset enumeration is capped at m={ENUMERATION_CAP} rows "
-            f"(got m={m}); use the numeric orthogonal-pair method instead"
-        )
+    def __init__(
+        self,
+        m: int,
+        cap: int = ENUMERATION_CAP,
+        task: str = "exact subset enumeration",
+        advice: str = "use the numeric orthogonal-pair method instead",
+    ):
+        super().__init__(f"{task} is capped at m={cap} rows (got m={m}); {advice}")
 
 
 @dataclass(frozen=True)
@@ -124,28 +131,50 @@ def _lambda_min_batch(g: np.ndarray, d: int) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(g.reshape(-1, d, d))[:, 0], 0.0)
 
 
+def _subset_sums(terms: np.ndarray) -> np.ndarray:
+    """Sums of the row terms over every subset of the rows, by doubling.
+
+    `terms` has shape (..., k), one term per row in the last axis; entry
+    [..., mask] of the result sums the terms of the rows set in `mask`.  The
+    table doubles once per row, g[mask | 1<<j] = g[mask] + terms[j] for
+    mask < 1<<j, so each sum adds its rows in increasing index order: the
+    order a 0/1 matrix product over the same rows uses, to the last bit.
+    """
+    *lead, k = terms.shape
+    g = np.zeros((*lead, 1 << k))
+    for j in range(k):
+        g[..., 1 << j : 2 << j] = g[..., : 1 << j] + terms[..., j : j + 1]
+    return g
+
+
 def _reduce_over_splits(A: np.ndarray, reduce_chunk, threads: int = 1) -> list:
     """Apply a chunk reducer over all complementary-pair representatives.
 
     Masks range over subsets of the first m-1 rows, so each pair {I, I^c} is
     visited exactly once (the last row always sits in the complement).  The
     reducer sees (masks, lam_I, lam_C) for one contiguous chunk and returns a
-    small summary, keeping memory flat for the largest enumerations.
+    small summary, keeping memory flat for the largest enumerations.  A chunk
+    copies the subset-sum table of the low rows and adds the rows set in its
+    high bits.
     """
     m, d = A.shape
     terms = _subset_gram_terms(A)
     total = terms.sum(axis=0)
     nrep = 1 << (m - 1)
-    shifts = np.arange(m - 1, dtype=np.uint64)
+    low_rows = min(m - 1, ENUM_CHUNK_BITS)
+    low = _subset_sums(terms[:low_rows].T)
 
     def do_chunk(rng: tuple[int, int]):
         lo, hi = rng
-        masks = np.arange(lo, hi, dtype=np.uint64)
-        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
-        g_subset = bits @ terms[: m - 1]
-        g_complement = total[None, :] - g_subset
+        g_subset = low.copy()
+        for j in range(low_rows, m - 1):
+            if (lo >> j) & 1:
+                g_subset += terms[j][:, None]
+        g_complement = total[:, None] - g_subset
         return reduce_chunk(
-            masks, _lambda_min_batch(g_subset, d), _lambda_min_batch(g_complement, d)
+            np.arange(lo, hi, dtype=np.uint64),
+            _lambda_min_batch(g_subset.T, d),
+            _lambda_min_batch(g_complement.T, d),
         )
 
     chunks = workers.chunk_ranges(nrep, ENUM_CHUNK)
@@ -563,11 +592,12 @@ def _frame_beta_batch(rows: np.ndarray) -> np.ndarray:
         [rows[:, :, 0] ** 2, rows[:, :, 0] * rows[:, :, 1], rows[:, :, 1] ** 2], axis=2
     )
     tot = terms.sum(axis=1)
-    n = 1 << (m - 1)
-    bits = ((np.arange(n)[:, None] >> np.arange(m - 1)[None, :]) & 1).astype(float)
-    g_subset = np.einsum("nk,bkt->bnt", bits, terms[:, : m - 1])
-    g_complement = tot[:, None, :] - g_subset
-    delta_sq = (lambda_min_2x2_batch(g_subset) + lambda_min_2x2_batch(g_complement)).min(axis=1)
+    g_subset = _subset_sums(np.moveaxis(terms[:, : m - 1], 2, 0))
+    g_complement = tot.T[:, :, None] - g_subset
+    delta_sq = (
+        lambda_min_2x2_batch(np.moveaxis(g_subset, 0, -1))
+        + lambda_min_2x2_batch(np.moveaxis(g_complement, 0, -1))
+    ).min(axis=1)
     lam_max = (tot[:, 0] + tot[:, 2]) / 2 + np.sqrt(
         ((tot[:, 0] - tot[:, 2]) / 2) ** 2 + tot[:, 1] ** 2
     )
@@ -607,8 +637,13 @@ def optimize_frame_r2(
     m = int(m)
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    if m > 16:
-        raise EnumerationCapError(m)
+    if m > FRAME_ROW_CAP:
+        raise EnumerationCapError(
+            m,
+            FRAME_ROW_CAP,
+            "optimize_frame_r2",
+            "each candidate frame is scored over all 2^(m-1) row splits",
+        )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))

@@ -153,6 +153,13 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", "--matrix", "/nonexistent/x.mat")
         assert code == 3
 
+    def test_binary_file_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "bin.mat"
+        path.write_bytes(b"# field: real, m: 1, d: 1\n\xff\xfe\x00\n")
+        code, _, err = run_cli(capsys, "analyze", "--matrix", str(path))
+        assert code == 3
+        assert err == f"error: {path}:2: not UTF-8 text: invalid start byte\n"
+
 
 class TestHarmonicCommand:
     def test_m3_row_values(self, tmp_path, capsys):
@@ -180,6 +187,15 @@ class TestHarmonicCommand:
         assert run_cli(capsys, "harmonic", "--m-range", "5..4")[0] == 2
         assert run_cli(capsys, "harmonic", "--m-range", "2..4")[0] == 2
         assert run_cli(capsys, "harmonic", "--m-range", "nope")[0] == 2
+
+    def test_csv_under_regular_file_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "regular"
+        blocker.write_text("")
+        out_csv = blocker / "h.csv"
+        code, _, err = run_cli(capsys, "harmonic", "--m-range", "3..5", "--csv", str(out_csv))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out_csv) in err
 
 
 class TestGaussianCommand:

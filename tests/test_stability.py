@@ -23,9 +23,15 @@ from prstab.linalg import GRAM_LIMIT
 from prstab.stability import (
     METHOD_EXACT,
     METHOD_NUMERIC,
+    ZERO_LOWER_FACTOR,
     EnumerationCapError,
     PairCertificate,
+    _frame_beta_batch,
+    _lambda_min_batch,
+    _reduce_over_splits,
+    _subset_gram_terms,
 )
+from prstab.linalg import lambda_min_2x2_batch
 
 THREE_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [2**-0.5, 2**-0.5]])
 THREE_ROWS_LOWER = 0.5411961001461969  # sqrt(1 - 1/sqrt(2)), frozen from the
@@ -168,6 +174,70 @@ class TestExactLowerHigherDim:
         assert abs(val**2 - ref**2) <= 1e-12 * upper_lipschitz(A) ** 2
         assert abs(split_value(A, subset) - val**2) <= 1e-12 * upper_lipschitz(A) ** 2
         assert abs(split_bound(A) - brute_force_split_bound(A)) < 1e-10
+
+
+def _split_bits(m: int) -> np.ndarray:
+    """0/1 matrix of the 2^(m-1) split masks over the first m-1 rows."""
+    n = 1 << (m - 1)
+    return ((np.arange(n)[:, None] >> np.arange(m - 1)[None, :]) & 1).astype(float)
+
+
+def einsum_frame_beta(rows):
+    """Reference frame condition numbers: split sums as an einsum over 0/1 masks."""
+    m = rows.shape[1]
+    terms = np.stack(
+        [rows[:, :, 0] ** 2, rows[:, :, 0] * rows[:, :, 1], rows[:, :, 1] ** 2], axis=2
+    )
+    tot = terms.sum(axis=1)
+    g_subset = np.einsum("nk,bkt->bnt", _split_bits(m), terms[:, : m - 1])
+    g_complement = tot[:, None, :] - g_subset
+    delta_sq = (lambda_min_2x2_batch(g_subset) + lambda_min_2x2_batch(g_complement)).min(axis=1)
+    lam_max = (tot[:, 0] + tot[:, 2]) / 2 + np.sqrt(
+        ((tot[:, 0] - tot[:, 2]) / 2) ** 2 + tot[:, 1] ** 2
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(
+            delta_sq > (ZERO_LOWER_FACTOR**2) * lam_max,
+            np.sqrt(lam_max / np.maximum(delta_sq, 1e-300)),
+            np.inf,
+        )
+
+
+class TestSubsetSumTable:
+    """Split sums built by doubling add each split's rows in the order a 0/1 product does."""
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_frame_beta_matches_einsum_bitwise(self, m):
+        rng = np.random.default_rng(500 + m)
+        rows = rng.standard_normal((9, m, 2)) * rng.uniform(0.1, 3.0, (9, m, 1))
+        rows[1, m // 2] = 0.0
+        rows[2, -1] = -2.5 * rows[2, 0]
+        rows[3] = rows[3, :1] * rng.uniform(-2, 2, (m, 1))
+        rows[4, : m // 2] = 0.0
+        assert np.array_equal(_frame_beta_batch(rows), einsum_frame_beta(rows))
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    @pytest.mark.parametrize("m", [4, 9, 19])
+    def test_split_eigenvalues_match_matrix_product(self, m, d):
+        rng = np.random.default_rng(70 * m + d)
+        A = rng.standard_normal((m, d))
+        A[1] = 0.0
+        A[m // 2] = -1.5 * A[0]
+        terms = _subset_gram_terms(A)
+        total = terms.sum(axis=0)
+        lam_i = []
+        lam_c = []
+        for masks, li, lc in _reduce_over_splits(A, lambda *chunk: chunk):
+            ref = _split_bits(m)[masks.astype(np.int64)] @ terms[: m - 1]
+            lam_i.append((li, _lambda_min_batch(ref, d)))
+            lam_c.append((lc, _lambda_min_batch(total[None, :] - ref, d)))
+        assert sum(len(li) for li, _ in lam_i) == 1 << (m - 1)
+        for got, ref in lam_i + lam_c:
+            if d == 1:
+                # bits @ terms runs as a gemv here, whose summation order may differ
+                assert np.max(np.abs(got - ref)) <= 1e-15 * total[0]
+            else:
+                assert np.array_equal(got, ref)
 
 
 class TestSplitBound:
@@ -396,6 +466,10 @@ class TestFrameOptimizer:
             optimize_frame_r2(17)
         with pytest.raises(ValueError, match="restarts must be >= 1"):
             optimize_frame_r2(4, restarts=0)
+
+    def test_cap_error_names_frame_limit(self):
+        with pytest.raises(EnumerationCapError, match=r"optimize_frame_r2 is capped at m=16 rows"):
+            optimize_frame_r2(17)
 
     def test_polar_roundtrip(self):
         frame, beta = optimize_frame_r2(3, restarts=8, seed=1)
