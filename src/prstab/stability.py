@@ -1,12 +1,15 @@
 """Optimal Lipschitz bounds and condition numbers of phaseless measurement maps.
 
 Two routes to the lower constant: the exact minimum over row splits (real
-field, capped at ENUMERATION_CAP rows) and constrained numerical
-minimization over orthogonal pairs (both fields).  The exact route scores
-the O(m^2) angular arcs for d = 2.  For other d, for `split_bound` and for
-the frame optimizer's objective, the Gram sums of all 2^(m-1) splits come
-from one subset-sum table built by doubling, one vectorized add per row,
-and each sum adds its rows in increasing index order.  The upper constant
+field) and constrained numerical minimization over orthogonal pairs (both
+fields).  Real d = 2 is exact for every m on both routes: the m quarter
+windows of the rows sorted by angle mod pi hold an optimal split, scored in
+O(m log m), and the numeric route reports that value with the pair it
+yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed form.
+For d >= 3 (capped at ENUMERATION_CAP rows), for `split_bound` and for the
+frame optimizer's objective, the Gram sums of all 2^(m-1) splits come from
+one subset-sum table built by doubling, one vectorized add per row, and
+each sum adds its rows in increasing index order.  The upper constant
 is always the spectral norm.  Also provides the universal condition-number
 floors and a derivative-free optimizer probing the best m x 2 real frame.
 """
@@ -22,6 +25,7 @@ from .linalg import (
     Field,
     FieldMismatchError,
     dist,
+    eigh_with_vectors,
     field_of,
     lambda_min_2x2_batch,
     lambda_min_3x3_batch,
@@ -34,6 +38,7 @@ FRAME_ROW_CAP = 16  # optimize_frame_r2 scores 2^(m-1) splits of every candidate
 ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
 ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
+ZERO_ROUNDOFF_FACTOR = 8  # real d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
 
 METHOD_EXACT = "exact_real_subset"
 METHOD_NUMERIC = "numeric_orth_pair"
@@ -58,7 +63,8 @@ class PairCertificate:
 
     x is unit, y = t*u for a unit u orthogonal to x and t in [0, 1]; `ratio`
     is |||Ax| - |Ay||| / dist(x, y) at the pair.  `stop_reason` says how the
-    search ended: "closed_form" (d = 1, no search), "budget" (the pattern
+    search ended: "closed_form" (d = 1 and real d = 2, no search: the ratio
+    is the exact lower constant up to roundoff), "budget" (the pattern
     search hit its iteration cap with a step still above its floor) or
     "converged".
     """
@@ -181,38 +187,58 @@ def _reduce_over_splits(A: np.ndarray, reduce_chunk, threads: int = 1) -> list:
     return workers.run_indexed(do_chunk, chunks, threads)
 
 
-def _require_real_enumerable(A: np.ndarray) -> None:
+def _require_real_enumerable(A: np.ndarray, capped: bool = True) -> None:
     if field_of(A) is Field.COMPLEX:
         raise FieldMismatchError(
             "exact subset enumeration is defined for the real field only; "
             "use the numeric orthogonal-pair method for complex matrices"
         )
-    if A.shape[0] > ENUMERATION_CAP:
+    if capped and A.shape[0] > ENUMERATION_CAP:
         raise EnumerationCapError(A.shape[0])
 
 
-def _lower_exact_arcs(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Exact lower constant of a real m x 2 matrix over angular arcs, O(m^2).
+def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Exact lower constant of a real m x 2 matrix over quarter windows, O(m log m).
 
-    A split realized by a signal pair, {i : sign<a_i,x> = sign<a_i,y>}, is a
-    cyclic run of rows sorted by angle mod pi, so the minimum over all runs
-    equals the minimum over all 2^(m-1) splits.  Runs that cut a group of
-    parallel rows are extra but valid splits and cannot undercut it.
+    With u = x + y and v = x - y, ||<a,x>| - |<a,y>|| = min(|<a,u>|, |<a,v>|)
+    and dist(x, y) = min(|u|, |v|), so L^2 is the least value, over u, v
+    with min(|u|, |v|) = 1, of sum_i min(<a_i,u>^2, <a_i,v>^2).  That sum is
+    at least lambda_min(G_I) + lambda_min(G_{I^c}) for I = {i : <a_i,u>^2 <=
+    <a_i,v>^2}, and unit lambda_min eigenvectors of the best split attain the
+    bound; so the sets I of unit u, v hold an optimal split.  For a row at
+    angle f and u, v at angles p, q, <a,u>^2 - <a,v>^2 = -|a|^2 sin(2f - p -
+    q) sin(q - p): I is a closed window of width pi/2 in angle mod pi.  Rows
+    on its edges score the same on either side, so a half-open window
+    [s, s + pi/2) is optimal too.  It changes only when s or s + pi/2 passes
+    a row angle, and the one from f_k + pi/2 is the complement of the one
+    from f_k, so the m windows from the row angles, each scored with its
+    complement, reach L^2.
+
+    Both window ends come from `searchsorted` over the stably sorted angles
+    and their copy shifted by pi, so tied rows stay together; window sums
+    are differences of prefix sums of the doubled Gram terms.  A value of at
+    most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, the roundoff of those sums
+    and of the closed-form lambda_min, is reported as L = 0.
     """
     m = A.shape[0]
-    order = np.argsort(np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi), kind="stable")
+    angle = np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi)
+    order = np.argsort(angle, kind="stable")
+    angle = angle[order]
     terms = _subset_gram_terms(A[order])
     prefix = np.zeros((2 * m + 1, 3))
     np.cumsum(np.concatenate([terms, terms]), axis=0, out=prefix[1:])
-    starts = np.arange(m)
-    # run[s, k] sums the k sorted rows from position s on, cyclically
-    run = prefix[starts[:, None] + starts[None, :]] - prefix[starts, None]
-    tot = lambda_min_2x2_batch(run) + lambda_min_2x2_batch(prefix[m] - run)
-    s, k = divmod(int(np.argmin(tot)), m)
-    rows = order[(s + np.arange(k)) % m]
+    start = np.searchsorted(angle, angle, side="left")
+    end = np.searchsorted(np.concatenate([angle, angle + np.pi]), angle + np.pi / 2, side="left")
+    window = prefix[end] - prefix[start]
+    tot = lambda_min_2x2_batch(window) + lambda_min_2x2_batch(prefix[m] - window)
+    k = int(np.argmin(tot))
+    rows = order[np.arange(start[k], end[k]) % m]
     if m - 1 in rows:
         rows = np.setdiff1d(np.arange(m), rows)
-    return float(np.sqrt(tot[s, k])), tuple(int(i) for i in np.sort(rows))
+    best = tot[k]
+    if best <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * (prefix[m, 0] + prefix[m, 2]):
+        best = 0.0
+    return float(np.sqrt(best)), tuple(int(i) for i in np.sort(rows))
 
 
 def lower_lipschitz_exact_real(A: np.ndarray, threads: int = 1) -> tuple[float, tuple[int, ...]]:
@@ -220,13 +246,17 @@ def lower_lipschitz_exact_real(A: np.ndarray, threads: int = 1) -> tuple[float, 
 
     Minimizes sqrt(lambda_min(G_I) + lambda_min(G_{I^c})) over row splits;
     the empty side contributes 0.  Returns (value, subset indices): sorted,
-    0-based, with row m-1 always in the complement.  d = 2 scores angular
-    arcs in O(m^2); other d enumerate the splits, over `threads` workers.
+    0-based, with row m-1 always in the complement.  d = 1 is ||a|| (every
+    split has the value sum a_i^2; the subset is empty) and d = 2 scores
+    quarter windows in O(m log m), both for any m.  d >= 3 enumerates the
+    splits over `threads` workers, up to ENUMERATION_CAP rows.
     """
-    _require_real_enumerable(A)
-    m = A.shape[0]
-    if A.shape[1] == 2:
-        return _lower_exact_arcs(A)
+    m, d = A.shape
+    _require_real_enumerable(A, capped=d >= 3)
+    if d == 1:
+        return float(np.linalg.norm(A)), ()
+    if d == 2:
+        return _lower_exact_windows(A)
 
     def chunk_min(masks, lam_i, lam_c):
         tot = lam_i + lam_c
@@ -358,58 +388,12 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
     return Z, vals, it, "budget" if (h > hmin).any() else "converged"
 
 
-def _golden_refine(fun, lo: float, hi: float, tol: float = 1e-12, max_iter: int = 200):
-    """Golden-section minimization of a scalar function on [lo, hi]."""
-    invphi = (np.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    e = a + invphi * (b - a)
-    fc, fe = fun(c), fun(e)
-    for _ in range(max_iter):
-        if b - a < tol:
-            break
-        if fc < fe:
-            b, e, fe = e, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + invphi * (b - a)
-            fe = fun(e)
-    return (c, fc) if fc < fe else (e, fe)
-
-
-def _pairs_real_d2(theta: np.ndarray):
-    X = np.stack([np.cos(theta), np.sin(theta)])
-    U = np.stack([np.sin(theta), -np.cos(theta)])
-    return X, U
-
-
 def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
     ct, st = np.cos(theta), np.sin(theta)
     eg = np.exp(1j * gamma)
     X = np.stack([ct.astype(complex), st * eg])
     U = np.stack([st.astype(complex), -ct * eg])
     return X, U
-
-
-def _numeric_lower_d2_real(A: np.ndarray, grid: int = 1024):
-    theta = np.linspace(0.0, np.pi, grid, endpoint=False)
-    X, U = _pairs_real_d2(theta)
-    vals = _ratio_sq_min_over_scale(A, X, U)
-    step = np.pi / grid
-
-    def f(th: float) -> float:
-        Xs, Us = _pairs_real_d2(np.array([th]))
-        return float(_ratio_sq_min_over_scale(A, Xs, Us)[0])
-
-    best_t, best_v = None, np.inf
-    for k in np.argsort(vals)[:6]:
-        th, v = _golden_refine(f, theta[k] - step, theta[k] + step)
-        if v < best_v:
-            best_t, best_v = th, v
-    Xb, Ub = _pairs_real_d2(np.array([best_t]))
-    return Xb[:, 0], Ub[:, 0], float(best_v), grid
 
 
 def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator, grid: int = 64):
@@ -433,7 +417,25 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator, grid: int
     )
     k = int(np.argmin(v2))
     X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
-    return X[0], U[0], float(min(vals[seeds[0]], v2[k])), it, stop
+    return X[0], U[0], it, stop
+
+
+def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Unit x and y = t*u (t in [0, 1], u unit, <x, u> = 0) attaining a split's value.
+
+    From unit lambda_min eigenvectors u of G_I and v of G_{I^c}: x = (u+v)/2
+    and y = (u-v)/2 are orthogonal, with x + y = u and x - y = v, so the
+    squared ratio is sum_i min(<a_i,u>^2, <a_i,v>^2) <= lambda_min(G_I) +
+    lambda_min(G_{I^c}).  Swapping or scaling the pair keeps the ratio.
+    """
+    inside = np.zeros(A.shape[0], dtype=bool)
+    inside[list(subset)] = True
+    u, v = (eigh_with_vectors(A[rows].T @ A[rows])[1][:, 0] for rows in (inside, ~inside))
+    x, y = (u + v) / 2, (u - v) / 2
+    if np.linalg.norm(y) > np.linalg.norm(x):
+        x, y = y, x
+    scale = np.linalg.norm(x)
+    return x / scale, y / scale
 
 
 def lower_lipschitz_numeric(
@@ -447,9 +449,12 @@ def lower_lipschitz_numeric(
 
     Searches pairs (x, u) with ||x|| = 1, ||u|| = 1, <x, u> = 0 and resolves
     the scale of y = t*u in closed form; the returned value is always an
-    upper bound on the true optimal lower constant.  d = 2 uses dense angle
-    grids (with golden-section refinement over the single real angle);
-    higher d uses random orthonormal restarts plus pattern search.
+    upper bound on the true optimal lower constant.  Real d = 2 needs no
+    search: the value is the exact one from the quarter windows, and the pair
+    comes from the lambda_min eigenvectors of the best split (stop_reason
+    "closed_form", as for d = 1).  Complex d = 2 uses a dense angle grid plus
+    pattern search; higher d uses random orthonormal restarts plus pattern
+    search.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -462,17 +467,16 @@ def lower_lipschitz_numeric(
         return ratio, PairCertificate(
             x=x, y=y, ratio=ratio, iterations=0, restarts=restarts, stop_reason="closed_form"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-    cands: list[tuple[float, np.ndarray, np.ndarray]] = []
-
     if d == 2 and field_of(A) is Field.REAL:
-        # dense single-angle grid plus golden-section refinement is global here
-        x, u, v, iterations = _numeric_lower_d2_real(A)
-        stop = "converged"
-        cands.append((v, x, u))
-    elif d == 2:
-        x, u, v, iterations, stop = _numeric_lower_d2_complex(A, rng)
-        cands.append((v, x, u))
+        lower, subset = _lower_exact_windows(A)
+        x, y = _pair_from_split(A, subset)
+        ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
+        return lower, PairCertificate(
+            x=x, y=y, ratio=ratio, iterations=0, restarts=restarts, stop_reason="closed_form"
+        )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
+    if d == 2:
+        best_x, best_u, iterations, stop = _numeric_lower_d2_complex(A, rng)
     else:
         cplx = field_of(A) is Field.COMPLEX
         n = 2 * d
@@ -500,11 +504,9 @@ def lower_lipschitz_numeric(
             expand=1.0,
         )
         k = int(np.argmin(vals))
-        X, U, ok = _orthonormalize_batch(Z[k : k + 1], d)
-        if ok[0]:
-            cands.append((float(vals[k]), X[0], U[0]))
-
-    best_v, best_x, best_u = min(cands, key=lambda c: c[0])
+        # coordinate seeds start finite and only improve: the best state is not degenerate
+        X, U, _ = _orthonormalize_batch(Z[k : k + 1], d)
+        best_x, best_u = X[0], U[0]
     t = _best_scale(A, best_x, best_u)
     y = t * best_u
     denom = dist(best_x, y)
@@ -554,9 +556,9 @@ def condition_number(
 ) -> StabilityReport:
     """Assemble upper and lower constants into a stability report.
 
-    `method` is "exact_real_subset" (real matrices up to the enumeration cap)
-    or "numeric_orth_pair".  beta is +inf when the lower constant sits below
-    the scale-invariant zero threshold.
+    `method` is "exact_real_subset" (real matrices; d >= 3 up to the
+    enumeration cap) or "numeric_orth_pair".  beta is +inf when the lower
+    constant sits below the scale-invariant zero threshold.
     """
     upper = upper_lipschitz(A)
     if method == METHOD_EXACT:

@@ -38,3 +38,11 @@ def complex_corpus():
 @pytest.fixture(scope="session")
 def small_gaussian_real():
     return sample_gaussian_matrix(40, 2, Field.REAL, seed=7)
+
+
+@pytest.fixture
+def rank_one_8x2():
+    """Real 8 x 2 matrix whose rows are all parallel (lower constant 0), seed 508."""
+    rng = np.random.default_rng(508)
+    rows = rng.standard_normal((9, 8, 2)) * rng.uniform(0.1, 3.0, (9, 8, 1))
+    return rows[3, :1] * rng.uniform(-2, 2, (8, 1))

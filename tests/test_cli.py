@@ -79,6 +79,15 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["beta"] == "inf"
 
+    @pytest.mark.parametrize("method", ["exact", "numeric"])
+    def test_rank_one_d2_reports_inf(self, tmp_path, capsys, rank_one_8x2, method):
+        path = tmp_path / "r1.mat"
+        write_matrix(path, rank_one_8x2)
+        code, out, _ = run_cli(capsys, "analyze", "--matrix", str(path), "--method", method)
+        assert code == 0
+        report = json.loads(out)
+        assert report["beta"] == "inf" and report["lower"] == 0.0
+
     def test_exact_on_complex_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.mat"
         write_matrix(path, np.eye(2, dtype=complex))
@@ -176,12 +185,16 @@ class TestHarmonicCommand:
         assert float(row4[1]) == pytest.approx(1.8477590650225735, abs=1e-9)
         assert float(row4[1]) > float(row4[3])
 
-    def test_beta_exact_blank_above_cap(self, tmp_path, capsys):
+    def test_beta_exact_above_enumeration_cap(self, tmp_path, capsys):
+        # real d = 2 is exact for every m, so beta_exact is filled past 24 rows
         out_csv = tmp_path / "h.csv"
         code, _, _ = run_cli(capsys, "harmonic", "--m-range", "25..26", "--csv", str(out_csv))
         assert code == 0
-        for line in out_csv.read_text().splitlines()[1:]:
-            assert line.split(",")[2] == ""
+        lines = out_csv.read_text().splitlines()[1:]
+        assert len(lines) == 2
+        for line in lines:
+            cells = line.split(",")
+            assert float(cells[2]) == pytest.approx(float(cells[1]), rel=1e-12)
 
     def test_bad_range_exits_2(self, capsys):
         assert run_cli(capsys, "harmonic", "--m-range", "5..4")[0] == 2

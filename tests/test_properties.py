@@ -1,0 +1,73 @@
+"""Property tests of the real d = 2 lower constant and the condition-number floors.
+
+Examples are derandomized and bounded, so every run checks the same inputs.
+Entries are multiples of 1/100, which makes zero, parallel and tied rows
+common.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prstab import (
+    Field,
+    condition_number,
+    lower_lipschitz_exact_real,
+    real_beta_lower_bound,
+    universal_lower_bound,
+    upper_lipschitz,
+)
+
+SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def real_m_by_2(draw, min_rows=1, max_rows=14):
+    m = draw(st.integers(min_rows, max_rows))
+    cells = draw(st.lists(st.integers(-1000, 1000), min_size=2 * m, max_size=2 * m))
+    return np.array(cells, dtype=float).reshape(m, 2) / 100
+
+
+def lower_sq(A):
+    return lower_lipschitz_exact_real(A)[0] ** 2
+
+
+def assert_same_lower(A, B):
+    # both values carry roundoff of a few eps * ||A||_F^2 <= 2 eps U^2
+    assert abs(lower_sq(A) - lower_sq(B)) <= 1e-13 * upper_lipschitz(A) ** 2
+
+
+@SETTINGS
+@given(real_m_by_2(), st.data())
+def test_row_sign_flips(A, data):
+    m = len(A)
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    assert_same_lower(A, signs[:, None] * A)
+
+
+@SETTINGS
+@given(real_m_by_2(), st.data())
+def test_row_permutations(A, data):
+    perm = data.draw(st.permutations(range(len(A))))
+    assert_same_lower(A, A[list(perm)])
+
+
+@SETTINGS
+@given(real_m_by_2(), st.floats(0.0, 2 * np.pi))
+def test_rotations(A, phi):
+    Q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+    assert_same_lower(A, A @ Q)
+
+
+@SETTINGS
+@given(real_m_by_2(), st.floats(1e-3, 1e3))
+def test_scaling(A, c):
+    assert abs(lower_sq(c * A) / c**2 - lower_sq(A)) <= 1e-13 * upper_lipschitz(A) ** 2
+
+
+@SETTINGS
+@given(real_m_by_2(min_rows=3))
+def test_beta_respects_floors(A):
+    beta = condition_number(A).beta
+    assert beta >= universal_lower_bound(Field.REAL) * (1 - 1e-12)
+    assert beta >= real_beta_lower_bound(A.shape[0]) * (1 - 1e-12)

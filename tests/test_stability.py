@@ -54,6 +54,29 @@ def brute_force_lower(A):
     return np.sqrt(best), best_I
 
 
+def lower_exact_arcs(A):
+    """Oracle for real m x 2: every cyclic run of the rows sorted by angle mod pi, O(m^2).
+
+    A split realized by a signal pair is such a run, so the minimum over all
+    runs equals the minimum over all splits.  Returns (value, subset) with
+    the subset convention of `lower_lipschitz_exact_real`.
+    """
+    m = A.shape[0]
+    order = np.argsort(np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi), kind="stable")
+    terms = _subset_gram_terms(A[order])
+    prefix = np.zeros((2 * m + 1, 3))
+    np.cumsum(np.concatenate([terms, terms]), axis=0, out=prefix[1:])
+    starts = np.arange(m)
+    # run[s, k] sums the k sorted rows from position s on, cyclically
+    run = prefix[starts[:, None] + starts[None, :]] - prefix[starts, None]
+    tot = lambda_min_2x2_batch(run) + lambda_min_2x2_batch(prefix[m] - run)
+    s, k = divmod(int(np.argmin(tot)), m)
+    rows = order[(s + np.arange(k)) % m]
+    if m - 1 in rows:
+        rows = np.setdiff1d(np.arange(m), rows)
+    return float(np.sqrt(tot[s, k])), tuple(int(i) for i in np.sort(rows))
+
+
 def brute_force_split_bound(A):
     m = A.shape[0]
     best = np.inf
@@ -90,7 +113,9 @@ class TestExactLower:
     def test_three_row_example_with_subset(self):
         val, subset = lower_lipschitz_exact_real(THREE_ROWS)
         assert abs(val - THREE_ROWS_LOWER) < 1e-12
-        assert subset == (0,)
+        # rows 0 and 1 tie: either singleton is a minimizing split
+        assert subset in {(0,), (1,)}
+        assert abs(np.sqrt(split_value(THREE_ROWS, subset)) - THREE_ROWS_LOWER) < 1e-12
 
     def test_matches_brute_force_on_random_instances(self, real_corpus):
         for A in real_corpus[:40]:
@@ -104,7 +129,23 @@ class TestExactLower:
 
     def test_cap_rejected(self):
         with pytest.raises(EnumerationCapError):
-            lower_lipschitz_exact_real(np.ones((25, 2)))
+            lower_lipschitz_exact_real(np.ones((25, 3)))
+        # d = 2 scores quarter windows, which need no cap
+        val, _ = lower_lipschitz_exact_real(harmonic_frame(25).matrix)
+        assert abs(val - harmonic_lower_constant(25)) < 1e-12
+
+    def test_d1_closed_form(self):
+        rng = np.random.default_rng(41)
+        for m in range(1, 15):
+            a = rng.standard_normal((m, 1))
+            if m >= 3:
+                a[1] = 0.0
+            val, subset = lower_lipschitz_exact_real(a)
+            assert subset == ()
+            assert abs(val - brute_force_lower(a)[0]) <= 1e-13 * np.linalg.norm(a)
+        a = rng.standard_normal((1000, 1))
+        val, subset = lower_lipschitz_exact_real(a)
+        assert val == pytest.approx(np.linalg.norm(a), rel=1e-15, abs=0) and subset == ()
 
     def test_threads_do_not_change_result(self):
         rng = np.random.default_rng(33)
@@ -140,18 +181,40 @@ def split_value(A, subset):
 
 
 class TestArcPath:
-    """Real d = 2 exact lower constant over angular arcs."""
+    """Real d = 2 exact lower constant over quarter windows, against the arc oracle."""
 
     def test_matches_brute_force_with_degenerate_rows(self):
-        for A in d2_corpus():
-            val, _ = lower_lipschitz_exact_real(A)
-            ref, _ = brute_force_lower(A)
-            assert abs(val**2 - ref**2) <= 1e-12 * upper_lipschitz(A) ** 2
+        rng = np.random.default_rng(2405)
+        for A0 in d2_corpus():
+            for A in (A0, A0 * rng.uniform(0.01, 100.0, (A0.shape[0], 1))):
+                U = upper_lipschitz(A)
+                val, _ = lower_lipschitz_exact_real(A)
+                for ref, _ in (lower_exact_arcs(A), brute_force_lower(A)):
+                    assert abs(val**2 - ref**2) <= 1e-13 * U**2
+                    # near L = 0 an oracle's own roundoff is of order sqrt(eps) U
+                    if ref > 1e-6 * U:
+                        assert abs(val - ref) <= 1e-13 * U
 
     def test_harmonic_frames(self):
-        for m in range(3, 25):
+        for m in range(3, 2001):
             val, _ = lower_lipschitz_exact_real(harmonic_frame(m).matrix)
-            assert abs(val - harmonic_lower_constant(m)) < 1e-12
+            ref = harmonic_lower_constant(m)
+            assert abs(val - ref) <= 1e-13 * ref
+
+    def test_numeric_certificate(self):
+        rng = np.random.default_rng(2406)
+        for A in d2_corpus(seed=78) + [rng.standard_normal((m, 2)) for m in (50, 1000)]:
+            U = upper_lipschitz(A)
+            val, cert = lower_lipschitz_numeric(A)
+            assert val == lower_lipschitz_exact_real(A)[0]
+            assert (cert.iterations, cert.stop_reason) == (0, "closed_form")
+            assert abs(np.linalg.norm(cert.x) - 1) <= 1e-15
+            assert abs(cert.x @ cert.y) <= 1e-15
+            assert 0.0 <= np.linalg.norm(cert.y) <= 1.0 + 1e-15
+            num = np.linalg.norm(phaseless_map(A, cert.x) - phaseless_map(A, cert.y))
+            ratio = num / dist(cert.x, cert.y)
+            assert abs(ratio - val) <= 1e-13 * U
+            assert cert.ratio == ratio
 
     def test_subset_certificate(self):
         for A in d2_corpus(seed=77):
@@ -327,7 +390,7 @@ class TestNumericLower:
         assert cert.iterations < 4000
         assert cert.stop_reason == "converged"
         _, cert = lower_lipschitz_numeric(harmonic_frame(5).matrix)
-        assert cert.stop_reason == "converged"
+        assert cert.stop_reason == "closed_form"
 
 
 class TestConditionNumber:
@@ -354,6 +417,12 @@ class TestConditionNumber:
     def test_exact_complex_rejected(self):
         with pytest.raises(FieldMismatchError):
             condition_number(np.eye(2, dtype=complex), METHOD_EXACT)
+
+    def test_rank_one_d2_is_infinite(self, rank_one_8x2):
+        # L^2 at the roundoff of the window sums is reported as L = 0, so beta = inf
+        for method in (METHOD_EXACT, METHOD_NUMERIC):
+            rep = condition_number(rank_one_8x2, method)
+            assert rep.lower == 0.0 and np.isinf(rep.beta)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
