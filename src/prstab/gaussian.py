@@ -15,7 +15,12 @@ import numpy as np
 
 from . import workers
 from .linalg import Field
-from .stability import lower_lipschitz_numeric, universal_lower_bound, upper_lipschitz
+from .stability import (
+    beta_from_constants,
+    lower_lipschitz_numeric,
+    universal_lower_bound,
+    upper_lipschitz,
+)
 
 DEFAULT_QUADRATURE = (512, 1024)  # polar-cosine nodes x azimuth nodes
 
@@ -176,7 +181,7 @@ def gaussian_beta_experiment(cfg: GaussianExperiment, threads: int = 1) -> list[
             max_iters=cfg.max_iters,
             seed=cfg.seed + 7919 * (mi * cfg.trials + trial + 1),
         )
-        beta = float(upper / lower) if lower > 0 else float("inf")
+        beta = beta_from_constants(upper, lower)
         return BetaEstimateRow(
             m=m,
             trial=trial,

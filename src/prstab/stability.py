@@ -9,9 +9,12 @@ yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed form.
 For d >= 3 (capped at ENUMERATION_CAP rows), for `split_bound` and for the
 frame optimizer's objective, the Gram sums of all 2^(m-1) splits come from
 one subset-sum table built by doubling, one vectorized add per row, and
-each sum adds its rows in increasing index order.  The upper constant
-is always the spectral norm.  Also provides the universal condition-number
-floors and a derivative-free optimizer probing the best m x 2 real frame.
+each sum adds its rows in increasing index order.  Complex d = 2 searches
+an angle grid and then polls, both through one ratio kernel built per
+matrix: the squared moduli come from the 2 x 2 Gram, the cross term from
+one real (2m x 6) product per batch of pairs.  The upper constant is always
+the spectral norm.  Also provides the universal condition-number floors and
+a derivative-free optimizer probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ ENUMERATION_CAP = 24
 FRAME_ROW_CAP = 16  # optimize_frame_r2 scores 2^(m-1) splits of every candidate frame
 ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
 ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
+D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
+D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
 ZERO_ROUNDOFF_FACTOR = 8  # real d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
 
@@ -197,6 +202,15 @@ def _require_real_enumerable(A: np.ndarray, capped: bool = True) -> None:
         raise EnumerationCapError(A.shape[0])
 
 
+def _below_roundoff(lower_sq, fro_sq):
+    """Whether L^2 is at most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, zero to roundoff.
+
+    That is the roundoff of the d = 2 split sums and their closed-form
+    lambda_min, so such a lower constant is reported as 0 (beta = inf).
+    """
+    return lower_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * fro_sq
+
+
 def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
     """Exact lower constant of a real m x 2 matrix over quarter windows, O(m log m).
 
@@ -216,9 +230,8 @@ def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
 
     Both window ends come from `searchsorted` over the stably sorted angles
     and their copy shifted by pi, so tied rows stay together; window sums
-    are differences of prefix sums of the doubled Gram terms.  A value of at
-    most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, the roundoff of those sums
-    and of the closed-form lambda_min, is reported as L = 0.
+    are differences of prefix sums of the doubled Gram terms.  A value below
+    their roundoff (`_below_roundoff`) is reported as L = 0.
     """
     m = A.shape[0]
     angle = np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi)
@@ -236,7 +249,7 @@ def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
     if m - 1 in rows:
         rows = np.setdiff1d(np.arange(m), rows)
     best = tot[k]
-    if best <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * (prefix[m, 0] + prefix[m, 2]):
+    if _below_roundoff(best, prefix[m, 0] + prefix[m, 2]):
         best = 0.0
     return float(np.sqrt(best)), tuple(int(i) for i in np.sort(rows))
 
@@ -281,19 +294,12 @@ def split_bound(A: np.ndarray, threads: int = 1) -> float:
     return min(_reduce_over_splits(A, chunk_min, threads))
 
 
-def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Columnwise min over t in [0,1] of |||Ax| - t|Au|||^2 / (1 + t^2).
+def _min_over_scale(p: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Columnwise min over t in [0,1] of (p - 2tq + t^2 r)/(1 + t^2).
 
-    X, U hold unit orthogonal pairs.  With p = ||Ax||^2, r = ||Au||^2 and
-    q = sum_i |a_i x||a_i u|, the objective is (p - 2tq + t^2 r)/(1 + t^2)
-    whose interior critical point solves q t^2 + (r - p) t - q = 0; the
+    The interior critical point solves q t^2 + (r - p) t - q = 0; the
     positive root is taken in closed form and clamped to [0, 1].
     """
-    AX = np.abs(A @ X)
-    AU = np.abs(A @ U)
-    p = (AX**2).sum(axis=0)
-    r = (AU**2).sum(axis=0)
-    q = (AX * AU).sum(axis=0)
     disc = np.sqrt((p - r) ** 2 + 4 * q * q)
     with np.errstate(divide="ignore", invalid="ignore"):
         t_star = np.where(q > 0, ((p - r) + disc) / (2 * q), 0.0)
@@ -304,6 +310,54 @@ def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.
 
     ones = np.ones_like(p)
     return np.minimum(np.minimum(p, val(ones)), val(t_star))
+
+
+def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Columnwise min over t in [0,1] of |||Ax| - t|Au|||^2 / (1 + t^2).
+
+    X, U hold unit orthogonal pairs.  With p = ||Ax||^2, r = ||Au||^2 and
+    q = sum_i |a_i x||a_i u|, the objective is (p - 2tq + t^2 r)/(1 + t^2).
+    """
+    AX = np.abs(A @ X)
+    AU = np.abs(A @ U)
+    p = (AX**2).sum(axis=0)
+    r = (AU**2).sum(axis=0)
+    q = (AX * AU).sum(axis=0)
+    return _min_over_scale(p, r, q)
+
+
+def _complex_d2_ratio(A: np.ndarray):
+    """The columnwise kernel of `_ratio_sq_min_over_scale` for one complex m x 2 A.
+
+    p and r are quadratic forms of the 2 x 2 Gram M = A^H A, O(1) per
+    column.  For q, |a x||a u| = |a_1^2 x_1 u_1 + a_1 a_2 (x_1 u_2 + x_2 u_1)
+    + a_2^2 x_2 u_2|, so one real (2m x 6) @ (6 x cols) product gives the
+    real and imaginary parts of every row's product, and q is the column sum
+    of their moduli.  Each row keeps the roundoff of about eps |a_i|^2 of
+    the direct form, also for rows orthogonal to x or u.
+    """
+    m = A.shape[0]
+    M = A.conj().T @ A
+    b = np.stack([A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2], axis=1)
+    B = np.block([[b.real, -b.imag], [b.imag, b.real]])
+    ones = np.ones(m)
+
+    def form(X):
+        return (
+            M[0, 0].real * np.abs(X[0]) ** 2
+            + M[1, 1].real * np.abs(X[1]) ** 2
+            + 2 * (np.conj(X[0]) * M[0, 1] * X[1]).real
+        )
+
+    def ratio(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+        c = np.stack([X[0] * U[0], X[0] * U[1] + X[1] * U[0], X[1] * U[1]])
+        w = B @ np.concatenate([c.real, c.imag])
+        w *= w
+        w = w[:m] + w[m:]
+        np.sqrt(w, out=w)
+        return _min_over_scale(form(X), form(U), ones @ w)
+
+    return ratio
 
 
 def _best_scale(A: np.ndarray, x: np.ndarray, u: np.ndarray) -> float:
@@ -335,13 +389,15 @@ def _orthonormalize_batch(Z: np.ndarray, d: int):
     return X, U, ok
 
 
-def _pair_objective(A: np.ndarray):
-    """Squared pair ratio of raw (x_raw | u_raw) rows; inf where they degenerate."""
-    d = A.shape[1]
+def _pair_objective(ratio, d: int):
+    """Squared pair ratio of raw (x_raw | u_raw) rows; inf where they degenerate.
+
+    `ratio(X, U)` is the columnwise kernel of the matrix, d the row length.
+    """
 
     def objective(Z: np.ndarray) -> np.ndarray:
         X, U, ok = _orthonormalize_batch(Z, d)
-        v = _ratio_sq_min_over_scale(A, X.T, U.T)
+        v = ratio(X.T, U.T)
         v[~ok] = np.inf
         return v
 
@@ -396,24 +452,24 @@ def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
     return X, U
 
 
-def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator, grid: int = 64):
+def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator):
     m = A.shape[0]
-    th = np.linspace(0.0, np.pi / 2, grid)
-    ga = np.linspace(0.0, 2 * np.pi, 2 * grid, endpoint=False)
+    ratio = _complex_d2_ratio(A)
+    th = np.linspace(0.0, np.pi / 2, D2_GRID)
+    ga = np.linspace(0.0, 2 * np.pi, 2 * D2_GRID, endpoint=False)
     T, G = np.meshgrid(th, ga, indexing="ij")
     tt, gg = T.ravel(), G.ravel()
-    # chunk the grid so m x ncols work arrays stay modest at large m
+    # chunk the grid so 2m x ncols work arrays stay modest at large m
     cols = tt.size
-    chunk = max(1, min(cols, (1 << 22) // max(m, 1)))
+    chunk = max(1, min(cols, D2_GRID_CHUNK // max(m, 1)))
     vals = np.empty(cols)
     for lo, hi in workers.chunk_ranges(cols, chunk):
-        X, U = _pairs_complex_d2(tt[lo:hi], gg[lo:hi])
-        vals[lo:hi] = _ratio_sq_min_over_scale(A, X, U)
+        vals[lo:hi] = ratio(*_pairs_complex_d2(tt[lo:hi], gg[lo:hi]))
     seeds = np.argsort(vals)[:12]
     X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
     Z0 = np.concatenate([X0.T, U0.T], axis=1)
     Z, v2, it, stop = _poll(
-        _pair_objective(A), Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500, shrink=0.5, expand=1.0
+        _pair_objective(ratio, 2), Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500, shrink=0.5, expand=1.0
     )
     k = int(np.argmin(v2))
     X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
@@ -452,9 +508,11 @@ def lower_lipschitz_numeric(
     upper bound on the true optimal lower constant.  Real d = 2 needs no
     search: the value is the exact one from the quarter windows, and the pair
     comes from the lambda_min eigenvectors of the best split (stop_reason
-    "closed_form", as for d = 1).  Complex d = 2 uses a dense angle grid plus
-    pattern search; higher d uses random orthonormal restarts plus pattern
-    search.
+    "closed_form", as for d = 1).  Complex d = 2 seeds the pattern search
+    from a dense angle grid, and both score pairs with the kernel of
+    `_complex_d2_ratio`, one real (2m x 6) product per batch of pairs; higher
+    d uses random orthonormal restarts plus pattern search over
+    `_ratio_sq_min_over_scale`.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -494,7 +552,7 @@ def lower_lipschitz_numeric(
                     extra.append(z)
         Z0 = np.vstack([Z0] + [np.array(extra)]) if extra else Z0
         Z, vals, iterations, stop = _poll(
-            _pair_objective(A),
+            _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), d),
             Z0,
             rng,
             h0=0.5,
@@ -545,6 +603,13 @@ def real_beta_lower_bound(m: int) -> float:
     return float(1.0 / np.sqrt(1.0 - 1.0 / (m * np.sin(np.pi / (2 * m)))))
 
 
+def beta_from_constants(upper: float, lower: float) -> float:
+    """beta = upper / lower, or inf when lower <= ZERO_LOWER_FACTOR * upper."""
+    if lower <= ZERO_LOWER_FACTOR * upper:
+        return float("inf")
+    return float(upper / lower)
+
+
 def condition_number(
     A: np.ndarray,
     method: str = METHOD_EXACT,
@@ -570,17 +635,14 @@ def condition_number(
         )
     else:
         raise ValueError(f"unknown method {method!r}")
-    if lower <= ZERO_LOWER_FACTOR * upper:
-        beta = np.inf
-    else:
-        beta = upper / lower
+    beta = beta_from_constants(upper, lower)
     bounds = {"beta0": universal_lower_bound(field_of(A))}
     if field_of(A) is Field.REAL and A.shape[0] >= 3:
         bounds["real_md_bound"] = real_beta_lower_bound(A.shape[0])
     return StabilityReport(
         upper=upper,
         lower=lower,
-        beta=float(beta),
+        beta=beta,
         method=method,
         lower_certificate=certificate,
         bounds=bounds,
@@ -588,7 +650,7 @@ def condition_number(
 
 
 def _frame_beta_batch(rows: np.ndarray) -> np.ndarray:
-    """Exact condition numbers for a batch of m x 2 real frames."""
+    """Exact condition numbers for a batch of m x 2 real frames; inf where L is zero to roundoff."""
     B, m, _ = rows.shape
     terms = np.stack(
         [rows[:, :, 0] ** 2, rows[:, :, 0] * rows[:, :, 1], rows[:, :, 1] ** 2], axis=2
@@ -605,9 +667,7 @@ def _frame_beta_batch(rows: np.ndarray) -> np.ndarray:
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(
-            delta_sq > (ZERO_LOWER_FACTOR**2) * lam_max,
-            np.sqrt(lam_max / np.maximum(delta_sq, 1e-300)),
-            np.inf,
+            _below_roundoff(delta_sq, tot[:, 0] + tot[:, 2]), np.inf, np.sqrt(lam_max / delta_sq)
         )
 
 

@@ -232,6 +232,18 @@ class TestGaussianCommand:
         )
         assert code == 2
 
+    def test_single_complex_row_reports_inf(self, tmp_path, capsys):
+        # one complex row cannot do phase retrieval: L_hat is roundoff, beta_hat is inf
+        path = tmp_path / "g.csv"
+        code, _, _ = run_cli(
+            capsys, "gaussian", "--field", "complex", "--d", "2", "--m", "1", "--trials", "1",
+            "--csv", str(path),
+        )
+        assert code == 0
+        header, row = path.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["beta_hat"] == "inf" and cells["excess"] == "inf"
+
 
 class TestKernelCommand:
     def test_rows_and_tightness(self, tmp_path, capsys):

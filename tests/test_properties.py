@@ -1,11 +1,12 @@
-"""Property tests of the real d = 2 lower constant and the condition-number floors.
+"""Property tests of the d = 2 lower constant and the condition-number floors.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
-Entries are multiples of 1/100, which makes zero, parallel and tied rows
+Real entries are multiples of 1/100, which makes zero, parallel and tied rows
 common.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,13 @@ from prstab import (
     Field,
     condition_number,
     lower_lipschitz_exact_real,
+    lower_lipschitz_numeric,
     real_beta_lower_bound,
+    sample_gaussian_matrix,
     universal_lower_bound,
     upper_lipschitz,
 )
+from prstab.stability import METHOD_NUMERIC
 
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None, database=None)
 
@@ -71,3 +75,59 @@ def test_beta_respects_floors(A):
     beta = condition_number(A).beta
     assert beta >= universal_lower_bound(Field.REAL) * (1 - 1e-12)
     assert beta >= real_beta_lower_bound(A.shape[0]) * (1 - 1e-12)
+
+
+# Complex d = 2: the numeric search value.  Matrices are Gaussian with m >= 4 = 4d - 4 rows,
+# so that generic instances do phase retrieval and L is far from 0; integer grids as above
+# would give real or rank-one matrices, whose L is 0 and has no relative tolerance.
+COMPLEX_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+COMPLEX_RTOL = 1e-9
+
+
+@st.composite
+def complex_m_by_2(draw):
+    m = draw(st.integers(4, 24))
+    return sample_gaussian_matrix(m, 2, Field.COMPLEX, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def numeric_lower(A):
+    return lower_lipschitz_numeric(A)[0]
+
+
+def assert_same_numeric_lower(A, B):
+    assert numeric_lower(B) == pytest.approx(numeric_lower(A), rel=COMPLEX_RTOL, abs=0)
+
+
+@COMPLEX_SETTINGS
+@given(complex_m_by_2(), st.data())
+def test_complex_row_phases(A, data):
+    m = len(A)
+    phases = np.array(data.draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=m, max_size=m)))
+    assert_same_numeric_lower(A, np.exp(1j * phases)[:, None] * A)
+
+
+@COMPLEX_SETTINGS
+@given(complex_m_by_2(), st.data())
+def test_complex_row_permutations(A, data):
+    perm = data.draw(st.permutations(range(len(A))))
+    assert_same_numeric_lower(A, A[list(perm)])
+
+
+@COMPLEX_SETTINGS
+@given(complex_m_by_2(), st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_complex_right_unitary_maps(A, cells):
+    Q, _ = np.linalg.qr(np.array(cells[:4]).reshape(2, 2) + 1j * np.array(cells[4:]).reshape(2, 2))
+    assert_same_numeric_lower(A, A @ Q)
+
+
+@COMPLEX_SETTINGS
+@given(complex_m_by_2(), st.floats(1e-2, 1e2))
+def test_complex_scaling(A, c):
+    assert numeric_lower(c * A) / c == pytest.approx(numeric_lower(A), rel=COMPLEX_RTOL, abs=0)
+
+
+@COMPLEX_SETTINGS
+@given(complex_m_by_2())
+def test_complex_beta_respects_floor(A):
+    beta = condition_number(A, METHOD_NUMERIC).beta
+    assert beta >= universal_lower_bound(Field.COMPLEX) * (1 - 1e-12)
