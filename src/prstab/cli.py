@@ -148,6 +148,7 @@ def cmd_analyze(args) -> int:
                 "y": cert.y,
                 "ratio": cert.ratio,
                 "iterations": cert.iterations,
+                "evaluations": cert.evaluations,
                 "restarts": cert.restarts,
                 "stop_reason": cert.stop_reason,
             }

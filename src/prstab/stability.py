@@ -19,6 +19,7 @@ a derivative-free optimizer probing the best m x 2 real frame.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -42,8 +43,9 @@ ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
 ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
 D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
 D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
+PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
-ZERO_ROUNDOFF_FACTOR = 8  # real d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
+ZERO_ROUNDOFF_FACTOR = 8  # d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
 
 METHOD_EXACT = "exact_real_subset"
 METHOD_NUMERIC = "numeric_orth_pair"
@@ -69,15 +71,19 @@ class PairCertificate:
     x is unit, y = t*u for a unit u orthogonal to x and t in [0, 1]; `ratio`
     is |||Ax| - |Ay||| / dist(x, y) at the pair.  `stop_reason` says how the
     search ended: "closed_form" (d = 1 and real d = 2, no search: the ratio
-    is the exact lower constant up to roundoff), "budget" (the pattern
-    search hit its iteration cap with a step still above its floor) or
-    "converged".
+    is the exact lower constant up to roundoff), "converged" (the search's
+    best state has converged, and every other restart has converged too or
+    could no longer catch it at its pace) or "budget" (the pattern search
+    hit its iteration cap with such a step still above its floor).
+    `evaluations` counts the pair-objective columns scored, the complex
+    d = 2 angle grid included; it is 0 for "closed_form".
     """
 
     x: np.ndarray
     y: np.ndarray
     ratio: float
     iterations: int
+    evaluations: int
     restarts: int
     stop_reason: str
 
@@ -206,7 +212,8 @@ def _below_roundoff(lower_sq, fro_sq):
     """Whether L^2 is at most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, zero to roundoff.
 
     That is the roundoff of the d = 2 split sums and their closed-form
-    lambda_min, so such a lower constant is reported as 0 (beta = inf).
+    lambda_min, and of the complex d = 2 ratio kernel, so such a lower
+    constant is reported as 0 (beta = inf).
     """
     return lower_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * fro_sq
 
@@ -404,7 +411,7 @@ def _pair_objective(ratio, d: int):
     return objective
 
 
-def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
+def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, keep=None):
     """Batched randomized pattern search, one state per row of Z0.
 
     Each iteration polls +/- the columns of `sets` random orthonormal bases
@@ -412,14 +419,29 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
     whose step is still above `hmin`.  A state moves to its best candidate
     when that improves its value and its step grows by `expand`; otherwise
     the step shrinks by `shrink`.  The objectives are non-smooth, so
-    randomized polling avoids coordinate-direction stalls.  Returns (Z, vals,
-    iterations, stop_reason): "budget" if a step is still live at
-    `max_iter`, else "converged".
+    randomized polling avoids coordinate-direction stalls.
+
+    With `keep` None every state runs until its step falls to `hmin`.  With
+    `keep` = k only the k lowest values matter: any other state is dropped
+    (its step set to 0) once, at its pace over the last PACE_WINDOW
+    iterations, it could not get below the k-th lowest value in the
+    iterations left.  So with keep=1 the search ends when its best state has
+    converged and each other state has converged or can no longer catch it.
+    A lagging state still closing on the best keeps running, because it may
+    end in a lower basin.  The random draws of an iteration do not depend on
+    which states are live, so every state's path up to its stop is the same
+    for every `keep`.
+
+    Returns (Z, vals, iterations, stop_reason, evaluations): stop_reason is
+    "budget" if a state is still live at `max_iter`, else "converged";
+    evaluations counts the objective's columns, the start included.
     """
     Z = Z0.copy()
     ns, n = Z.shape
     vals = objective(Z)
+    evaluations = ns
     h = np.full(ns, h0)
+    recent = deque([vals.copy()], maxlen=PACE_WINDOW + 1)
     it = 0
     while it < max_iter and (h > hmin).any():
         it += 1
@@ -433,6 +455,7 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
         act = np.flatnonzero(h > hmin)
         cand = (Z[act, None, :] + h[act, None, None] * dirs[None, :, :]).reshape(-1, n)
         v = objective(cand).reshape(len(act), -1)
+        evaluations += cand.shape[0]
         kb = np.argmin(v, axis=1)
         vb = v[np.arange(len(act)), kb]
         impr = vb < vals[act] - 1e-15
@@ -441,7 +464,13 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1):
         vals[took] = vb[impr]
         h[took] *= expand
         h[act[~impr]] *= shrink
-    return Z, vals, it, "budget" if (h > hmin).any() else "converged"
+        if keep is not None:
+            recent.append(vals.copy())
+            if len(recent) > PACE_WINDOW:
+                target = np.sort(vals)[keep - 1]
+                reach = (recent[0] - vals) / PACE_WINDOW * (max_iter - it)
+                h[vals - reach > target] = 0.0
+    return Z, vals, it, "budget" if (h > hmin).any() else "converged", evaluations
 
 
 def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
@@ -468,12 +497,20 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator):
     seeds = np.argsort(vals)[:12]
     X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
     Z0 = np.concatenate([X0.T, U0.T], axis=1)
-    Z, v2, it, stop = _poll(
-        _pair_objective(ratio, 2), Z0, rng, h0=0.1, hmin=1e-9, max_iter=2500, shrink=0.5, expand=1.0
+    Z, v2, it, stop, evaluations = _poll(
+        _pair_objective(ratio, 2),
+        Z0,
+        rng,
+        h0=0.1,
+        hmin=1e-9,
+        max_iter=2500,
+        shrink=0.5,
+        expand=1.0,
+        keep=1,
     )
     k = int(np.argmin(v2))
     X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
-    return X[0], U[0], it, stop
+    return X[0], U[0], it, stop, cols + evaluations
 
 
 def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -510,9 +547,14 @@ def lower_lipschitz_numeric(
     comes from the lambda_min eigenvectors of the best split (stop_reason
     "closed_form", as for d = 1).  Complex d = 2 seeds the pattern search
     from a dense angle grid, and both score pairs with the kernel of
-    `_complex_d2_ratio`, one real (2m x 6) product per batch of pairs; higher
-    d uses random orthonormal restarts plus pattern search over
-    `_ratio_sq_min_over_scale`.
+    `_complex_d2_ratio`, one real (2m x 6) product per batch of pairs; a
+    value below that kernel's roundoff (`_below_roundoff`) is reported as 0.
+    Higher d uses random orthonormal restarts plus pattern search over
+    `_ratio_sq_min_over_scale`.  Only the best state is returned, so both
+    searches end once it has converged and the other restarts have either
+    converged or fallen too far behind to catch it in the iterations left
+    (stop_reason "converged"), or at `max_iters` ("budget"); the
+    certificate counts the pair-objective columns scored, the grid included.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -523,18 +565,30 @@ def lower_lipschitz_numeric(
         y = np.zeros(1, dtype=A.dtype)
         ratio = float(np.linalg.norm(phaseless_map(A, x)))
         return ratio, PairCertificate(
-            x=x, y=y, ratio=ratio, iterations=0, restarts=restarts, stop_reason="closed_form"
+            x=x,
+            y=y,
+            ratio=ratio,
+            iterations=0,
+            evaluations=0,
+            restarts=restarts,
+            stop_reason="closed_form",
         )
     if d == 2 and field_of(A) is Field.REAL:
         lower, subset = _lower_exact_windows(A)
         x, y = _pair_from_split(A, subset)
         ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
         return lower, PairCertificate(
-            x=x, y=y, ratio=ratio, iterations=0, restarts=restarts, stop_reason="closed_form"
+            x=x,
+            y=y,
+            ratio=ratio,
+            iterations=0,
+            evaluations=0,
+            restarts=restarts,
+            stop_reason="closed_form",
         )
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     if d == 2:
-        best_x, best_u, iterations, stop = _numeric_lower_d2_complex(A, rng)
+        best_x, best_u, iterations, stop, evaluations = _numeric_lower_d2_complex(A, rng)
     else:
         cplx = field_of(A) is Field.COMPLEX
         n = 2 * d
@@ -551,7 +605,7 @@ def lower_lipschitz_numeric(
                     z[d + j] = 1.0
                     extra.append(z)
         Z0 = np.vstack([Z0] + [np.array(extra)]) if extra else Z0
-        Z, vals, iterations, stop = _poll(
+        Z, vals, iterations, stop, evaluations = _poll(
             _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), d),
             Z0,
             rng,
@@ -560,6 +614,7 @@ def lower_lipschitz_numeric(
             max_iter=max_iters,
             shrink=0.5,
             expand=1.0,
+            keep=1,
         )
         k = int(np.argmin(vals))
         # coordinate seeds start finite and only improve: the best state is not degenerate
@@ -574,9 +629,12 @@ def lower_lipschitz_numeric(
         y=y,
         ratio=ratio,
         iterations=iterations,
+        evaluations=evaluations,
         restarts=restarts,
         stop_reason=stop,
     )
+    if d == 2 and _below_roundoff(ratio**2, np.linalg.norm(A) ** 2):
+        return 0.0, cert
     return ratio, cert
 
 
@@ -723,12 +781,12 @@ def optimize_frame_r2(
         ],
         axis=1,
     )
-    P_joint, v_joint, _, _ = _poll(
+    P_joint, v_joint, _, _, _ = _poll(
         joint, P_joint, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
     )
 
     P_ang = rng.uniform(0, np.pi, (restarts, m - 1))
-    P_ang, v_ang, _, _ = _poll(
+    P_ang, v_ang, _, _, _ = _poll(
         angles_only, P_ang, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
     )
     P_ang_full = np.concatenate([P_ang, np.ones((P_ang.shape[0], m))], axis=1)
@@ -736,7 +794,7 @@ def optimize_frame_r2(
     P_all = np.vstack([P_joint, P_ang_full])
     v_all = np.concatenate([v_joint, v_ang])
     top = np.argsort(v_all)[:6]
-    polish, v_pol, _, _ = _poll(
+    polish, v_pol, _, _, _ = _poll(
         joint,
         P_all[top],
         rng,

@@ -104,6 +104,8 @@ class TestAnalyze:
         report = json.loads(out)
         assert "pair" in report["certificate"]
         assert report["beta"] >= report["bounds"]["beta0"] - 1e-6
+        # the 64 x 128 angle grid counts toward the evaluations
+        assert report["certificate"]["pair"]["evaluations"] > 64 * 128
 
     def test_malformed_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.mat"
@@ -156,7 +158,16 @@ class TestAnalyze:
         )
         assert code == 0
         pair = json.loads(out)["certificate"]["pair"]
-        assert pair["iterations"] == 4000 and pair["stop_reason"] == "budget"
+        # restarts that cannot catch the best state are dropped, so the
+        # search converges well before its 4000-iteration budget
+        assert pair["iterations"] == 84 and pair["stop_reason"] == "converged"
+        assert pair["evaluations"] == 8582
+        write_matrix(path, harmonic_frame(5).matrix)
+        code, out, _ = run_cli(capsys, "analyze", "--matrix", str(path), "--method", "numeric")
+        pair = json.loads(out)["certificate"]["pair"]
+        assert (pair["stop_reason"], pair["iterations"], pair["evaluations"]) == (
+            "closed_form", 0, 0
+        )
 
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--matrix", "/nonexistent/x.mat")
@@ -243,6 +254,21 @@ class TestGaussianCommand:
         header, row = path.read_text().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         assert cells["beta_hat"] == "inf" and cells["excess"] == "inf"
+
+    def test_complex_d2_below_four_rows_reports_zero(self, tmp_path, capsys):
+        # below 4 rows no complex 2-column matrix does phase retrieval: the
+        # searched L^2 sits at the kernel's roundoff and reads as L_hat = 0
+        path = tmp_path / "g.csv"
+        code, _, _ = run_cli(
+            capsys, "gaussian", "--field", "complex", "--d", "2", "--m", "2,3",
+            "--trials", "3", "--csv", str(path),
+        )
+        assert code == 0
+        header, *rows = path.read_text().splitlines()
+        assert len(rows) == 6
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert float(cells["L_hat"]) == 0.0 and cells["beta_hat"] == "inf"
 
 
 class TestKernelCommand:
