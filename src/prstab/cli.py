@@ -206,8 +206,8 @@ def cmd_gaussian(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    threads = resolve_threads(args.threads)
-    table = gaussian_beta_experiment(cfg, threads=threads)
+    resolve_threads(args.threads)  # validated only: the sweep runs its cells serially
+    table = gaussian_beta_experiment(cfg)
     rows = [[r.m, r.trial, r.upper, r.lower, r.beta, r.beta_floor, r.excess] for r in table]
     _write_csv(args.csv, ["m", "trial", "U_hat", "L_hat", "beta_hat", "beta_0", "excess"], rows)
     return EXIT_OK
@@ -327,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_threads(p, text="worker pool size (default: PRSTAB_THREADS or logical cores)"):
         p.add_argument("--threads", type=int, default=None, help=text)
 
+    serial = "accepted and validated; this command runs serially"
+
     p = sub.add_parser("analyze", help="condition number of a matrix file")
     p.add_argument("--matrix", required=True)
     p.add_argument("--method", choices=["exact", "numeric"], default="exact")
@@ -349,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
-    add_threads(p)
+    add_threads(p, serial)
     p.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("kernel", help="kernel expectation: closed form vs Monte Carlo")
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--csv", default=None)
-    add_threads(p, "accepted and validated; does not affect recover, which runs serially")
+    add_threads(p, serial)
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("optimize", help="search for the best m x 2 real frame")

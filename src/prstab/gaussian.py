@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import workers
 from .linalg import Field
 from .stability import (
     beta_from_constants,
@@ -160,36 +159,35 @@ class BetaEstimateRow:
     excess: float
 
 
-def gaussian_beta_experiment(cfg: GaussianExperiment, threads: int = 1) -> list[BetaEstimateRow]:
+def gaussian_beta_experiment(cfg: GaussianExperiment) -> list[BetaEstimateRow]:
     """Sample matrices per (m, trial) cell and estimate the condition number.
 
-    Each cell derives its own stream from (seed, m-index, trial), so the
-    output table is identical for any worker count.
+    Each cell derives its own stream from (seed, m-index, trial).  Cells run
+    one after another, in (m, trial) order.
     """
     beta0 = universal_lower_bound(cfg.field)
-    cells = [
-        (mi, m, trial) for mi, m in enumerate(cfg.m_values) for trial in range(cfg.trials)
-    ]
-
-    def run_cell(cell):
-        mi, m, trial = cell
-        A = sample_gaussian_matrix(m, cfg.d, cfg.field, cfg.seed, stream=mi * cfg.trials + trial)
-        upper = upper_lipschitz(A)
-        lower, _ = lower_lipschitz_numeric(
-            A,
-            restarts=cfg.restarts,
-            max_iters=cfg.max_iters,
-            seed=cfg.seed + 7919 * (mi * cfg.trials + trial + 1),
-        )
-        beta = beta_from_constants(upper, lower)
-        return BetaEstimateRow(
-            m=m,
-            trial=trial,
-            upper=upper,
-            lower=lower,
-            beta=beta,
-            beta_floor=beta0,
-            excess=beta - beta0,
-        )
-
-    return workers.run_indexed(run_cell, cells, threads)
+    rows = []
+    for mi, m in enumerate(cfg.m_values):
+        for trial in range(cfg.trials):
+            stream = mi * cfg.trials + trial
+            A = sample_gaussian_matrix(m, cfg.d, cfg.field, cfg.seed, stream=stream)
+            upper = upper_lipschitz(A)
+            lower, _ = lower_lipschitz_numeric(
+                A,
+                restarts=cfg.restarts,
+                max_iters=cfg.max_iters,
+                seed=cfg.seed + 7919 * (stream + 1),
+            )
+            beta = beta_from_constants(upper, lower)
+            rows.append(
+                BetaEstimateRow(
+                    m=m,
+                    trial=trial,
+                    upper=upper,
+                    lower=lower,
+                    beta=beta,
+                    beta_floor=beta0,
+                    excess=beta - beta0,
+                )
+            )
+    return rows

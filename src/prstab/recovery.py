@@ -1,7 +1,7 @@
 """Least-squares recovery from noisy magnitude measurements.
 
 Solves min_x || |Ax| - b ||_2 by alternating phase updates with linear least
-squares, multi-started and optionally seeded from a spectral initializer.
+squares, multi-started and seeded from a spectral initializer.
 The residual certificate (residual <= ||noise||) marks runs where the global-
 minimizer error bound applies.
 """
@@ -16,7 +16,6 @@ from .gaussian import sample_gaussian_matrix, stream_rng
 from .linalg import Field, dist, eigh_with_vectors, field_of, phaseless_map
 from .stability import universal_lower_bound
 
-NORMAL_EQ_MAX_DIM = 10  # above this, least squares goes through Householder QR
 DELTA_CEILING = 0.05
 
 
@@ -115,15 +114,15 @@ def solve_quadratic_model(
     max_iters: int = 200,
     tol: float = 1e-12,
     seed: int = 0,
-    spectral_init: bool = True,
 ) -> RecoveryResult:
     """Alternating minimization for the magnitude least-squares model.
 
-    Each start repeats: fix the measurement phases at the current iterate,
-    solve the phased linear least-squares problem, stop when the residual
-    decrease falls below `tol`.  The residual is nonincreasing within a
-    start.  Starts run one after another; the best (residual, start index)
-    wins.
+    One Householder QR of A per problem serves every start.  Each start
+    repeats: fix the measurement phases at the current iterate, solve the
+    phased linear least-squares problem through that QR, stop when the
+    residual decrease falls below `tol`.  The residual is nonincreasing
+    within a start.  The spectral start runs first, then `restarts` random
+    ones; the best (residual, start index) wins.
     """
     if restarts < 0 or max_iters < 1:
         raise ValueError("need restarts >= 0 and max_iters >= 1")
@@ -131,28 +130,13 @@ def solve_quadratic_model(
     d = A.shape[1]
     cplx = field_of(A) is Field.COMPLEX
 
-    use_normal_eq = d <= NORMAL_EQ_MAX_DIM
-    if use_normal_eq:
-        G = A.conj().T @ A
-        try:
-            chol = np.linalg.cholesky(G)
-        except np.linalg.LinAlgError:
-            raise ConditioningError(0) from None
-    else:
-        Q, R = np.linalg.qr(A)
-        if np.abs(np.diag(R)).min() <= 1e-13 * np.abs(np.diag(R)).max():
-            raise ConditioningError(0)
+    Q, R = np.linalg.qr(A)
+    r_diag = np.abs(np.diag(R))
+    if r_diag.min() <= 1e-13 * r_diag.max():
+        raise ConditioningError(0)
+    Qh = Q.conj().T
 
-    def lstsq_phased(c: np.ndarray) -> np.ndarray:
-        rhs = c * b
-        if use_normal_eq:
-            y = np.linalg.solve(chol, A.conj().T @ rhs)
-            return np.linalg.solve(chol.conj().T, y)
-        return np.linalg.solve(R, Q.conj().T @ rhs)
-
-    starts: list[np.ndarray] = []
-    if spectral_init:
-        starts.append(_spectral_start(A, b))
+    starts = [_spectral_start(A, b)]
     gen = stream_rng(seed, 23)
     for _ in range(restarts):
         v = gen.standard_normal(d)
@@ -160,27 +144,24 @@ def solve_quadratic_model(
             v = (v + 1j * gen.standard_normal(d)) / np.sqrt(2)
         starts.append(v)
 
-    def run_start(x0: np.ndarray):
-        x = x0
+    total_iters = 0
+    for si, x in enumerate(starts):
+        z = A @ x
         hist = []
         prev = np.inf
         for _ in range(max_iters):
-            c = _phases(A @ x)
-            x = lstsq_phased(c)
-            res = float(np.linalg.norm(np.abs(A @ x) - b))
+            x = np.linalg.solve(R, Qh @ (_phases(z) * b))
+            z = A @ x
+            res = float(np.linalg.norm(np.abs(z) - b))
             hist.append(res)
             if prev - res < tol:
                 break
             prev = res
-        return x, tuple(hist)
+        total_iters += len(hist)
+        if si == 0 or hist[-1] < best_hist[-1]:
+            best_si, best_x, best_hist = si, x, tuple(hist)
 
-    outcomes = [run_start(x0) for x0 in starts]
-    total_iters = sum(len(hist) for _, hist in outcomes)
-    best_si = min(range(len(outcomes)), key=lambda si: (outcomes[si][1][-1], si))
-    best_x, best_hist = outcomes[best_si]
-    best = (best_hist[-1], best_si)
-
-    residual = best[0]
+    residual = best_hist[-1]
     certified = problem.eta is not None and residual <= float(np.linalg.norm(problem.eta)) + 1e-12
     d_truth = dist(best_x, problem.x0) if problem.x0 is not None else None
     return RecoveryResult(
@@ -189,7 +170,7 @@ def solve_quadratic_model(
         dist_to_truth=d_truth,
         certified=bool(certified),
         iterations=total_iters,
-        best_start=best[1],
+        best_start=best_si,
         residual_history=best_hist,
     )
 

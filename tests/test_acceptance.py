@@ -223,7 +223,7 @@ def test_08_gaussian_asymptotics():
     details = []
     for field in (Field.REAL, Field.COMPLEX):
         cfg = GaussianExperiment(field, 2, (50, 500, 5000), 10, seed=808)
-        rows = gaussian_beta_experiment(cfg, threads=2)
+        rows = gaussian_beta_experiment(cfg)
         lo, hi = ranges[field]
         at_5000 = [r.beta for r in rows if r.m == 5000]
         ok &= all(lo <= b <= hi for b in at_5000)

@@ -138,8 +138,8 @@ class TestExperiment:
 
     def test_rows_ordered_and_deterministic(self):
         cfg = GaussianExperiment(Field.REAL, 2, (20, 40), 2, seed=11)
-        rows1 = gaussian_beta_experiment(cfg, threads=1)
-        rows2 = gaussian_beta_experiment(cfg, threads=3)
+        rows1 = gaussian_beta_experiment(cfg)
+        rows2 = gaussian_beta_experiment(cfg)
         assert [(r.m, r.trial) for r in rows1] == [(20, 0), (20, 1), (40, 0), (40, 1)]
         assert rows1 == rows2
 

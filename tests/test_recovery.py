@@ -8,6 +8,7 @@ from prstab import (
     check_error_bound,
     dist,
     make_gaussian_problem,
+    make_problem_for_matrix,
     phaseless_map,
     sample_gaussian_matrix,
     solve_quadratic_model,
@@ -58,11 +59,29 @@ class TestSolver:
         flipped = np.linalg.norm(result.x_hat + problem.x0)
         assert min(raw, flipped) == pytest.approx(dist(result.x_hat, problem.x0), abs=1e-12)
 
-    def test_qr_path_matches_normal_equations(self):
-        # d above the normal-equation cutoff exercises the QR branch
+    def test_noiseless_recovery_d12(self):
         problem = make_gaussian_problem(400, 12, Field.REAL, noise_level=0.0, seed=7)
         result = solve_quadratic_model(problem, seed=7)
         assert result.dist_to_truth <= 1e-7
+
+    @pytest.mark.parametrize("sigma_min", [1e-6, 1e-8, 1e-10])
+    def test_ill_conditioned_noiseless_recovery(self, sigma_min):
+        # least squares through QR sees cond(A), not the cond(A)^2 of the normal equations
+        U, _ = np.linalg.qr(sample_gaussian_matrix(80, 3, Field.REAL, seed=14))
+        V, _ = np.linalg.qr(sample_gaussian_matrix(3, 3, Field.REAL, seed=15))
+        A = (U * np.array([1.0, 0.5, sigma_min])) @ V.T
+        problem = make_problem_for_matrix(A, 0.0, seed=16)
+        result = solve_quadratic_model(problem, seed=16)
+        assert result.dist_to_truth <= 1e-6 * np.linalg.norm(problem.x0)
+        assert result.certified
+
+    def test_complex_d12_pinned(self):
+        # bit-exact values of one seeded run; any change to the arithmetic moves them
+        problem = make_gaussian_problem(400, 12, Field.COMPLEX, noise_level=0.1, seed=7)
+        result = solve_quadratic_model(problem, seed=7)
+        assert result.residual == float.fromhex("0x1.e038ed1d848b7p+2")
+        assert result.iterations == 786
+        assert result.best_start == 16
 
     def test_rank_deficient_matrix_raises(self):
         A = np.zeros((6, 2))
