@@ -206,7 +206,7 @@ def test_07_kernel_expectations():
     tight_real = abs(kernel_expectation_real(np.pi / 2) - 2 / np.pi)
     tight_complex = abs(kernel_expectation_complex(np.pi / 2) - np.pi / 4)
     elapsed = time.perf_counter() - t0
-    ok &= tight_real <= 1e-12 and tight_complex <= 1e-8 and elapsed < 30.0
+    ok &= tight_real <= 1e-12 and tight_complex <= 1e-15 and elapsed < 30.0
     report(
         "A07",
         "kernel expectation closed forms vs Monte Carlo and tightness points",

@@ -296,7 +296,24 @@ class TestKernelCommand:
         )
         assert code == 0
         last = out_csv.read_text().splitlines()[-1].split(",")
-        assert float(last[1]) == pytest.approx(np.pi / 4, abs=1e-8)
+        assert float(last[1]) == pytest.approx(np.pi / 4, abs=1e-15)
+
+    def test_real_csv_is_pinned(self, tmp_path, capsys):
+        # bytes written before Box-Muller ran in blocks; the seeded stream must not move
+        out_csv = tmp_path / "k.csv"
+        code, _, _ = run_cli(
+            capsys, "kernel", "--field", "real", "--grid", "3",
+            "--mc-samples", "50000", "--seed", "4", "--csv", str(out_csv),
+        )
+        assert code == 0
+        assert out_csv.read_bytes() == (
+            b"theta,closed_form,mc_estimate,mc_se,bound\n"
+            b"0.0,1.0,0.9904506625797177,0.006265679362653462,1.0\n"
+            b"0.7853981633974483,0.8037115486718268,0.8008301444000276,"
+            b"0.0051257579401448265,0.8935683954755758\n"
+            b"1.5707963267948966,0.6366197723675814,0.6375491035232189,"
+            b"0.0034337800940915054,0.6366197723675813\n"
+        )
 
     def test_arg_floors_exit_2(self, capsys):
         assert run_cli(capsys, "kernel", "--field", "real", "--grid", "1")[0] == 2

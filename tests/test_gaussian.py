@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,52 @@ from prstab import (
     stream_rng,
     universal_lower_bound,
 )
+from prstab.gaussian import BM_CHUNK, _fold_angle
 
 THETAS = [k * np.pi / 12 for k in range(7)]
+
+
+def box_muller_reference(gen, shape):
+    """The unblocked transform: both halves built whole, then concatenated."""
+    n = int(np.prod(shape)) if shape else 1
+    pairs = (n + 1) // 2
+    u1 = gen.random(pairs)
+    u2 = gen.random(pairs)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.concatenate([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)])
+    return z[:n].reshape(shape)
+
+
+def hypergeometric_series(theta):
+    """(pi/4) sum_n [(-1/2)_n / n!]^2 k^(2n), k = cos theta; every term after n = 0 is positive."""
+    k2 = math.cos(theta) ** 2
+    assert k2 <= 0.9
+    terms, coef, n = [1.0], 1.0, 0
+    while terms[-1] > 1e-20:
+        coef *= (n - 0.5) / (n + 1)
+        n += 1
+        terms.append(coef * coef * k2**n)
+    return math.pi / 4 * math.fsum(terms)
+
+
+def sphere_quadrature(thetas, n_polar=512, n_azimuth=1024):
+    """The former complex closed_form: a sphere surface integral of
+    sqrt(1 + x cos t - y sin t) sqrt(1 + x cos t + y sin t) / (4 pi), Gauss-Legendre
+    in the polar cosine crossed with a periodic trapezoid in azimuth."""
+    s, w = np.polynomial.legendre.leggauss(n_polar)
+    psi = 2 * np.pi * np.arange(n_azimuth) / n_azimuth
+    rho = np.sqrt(np.maximum(1 - s**2, 0.0))
+    x = rho[:, None] * np.cos(psi)[None, :]
+    y = rho[:, None] * np.sin(psi)[None, :]
+    values = []
+    for theta in thetas:
+        t = _fold_angle(theta)
+        integrand = np.sqrt(np.maximum(1 + x * np.cos(t) - y * np.sin(t), 0.0)) * np.sqrt(
+            np.maximum(1 + x * np.cos(t) + y * np.sin(t), 0.0)
+        )
+        integral = float((w[:, None] * integrand).sum() * (2 * np.pi / n_azimuth))
+        values.append(integral / (4 * np.pi))
+    return np.array(values)
 
 
 class TestSampling:
@@ -51,6 +97,25 @@ class TestSampling:
         assert abs(np.mean(z1**3)) < 0.05  # symmetric
         assert abs(np.mean(z1**4) - 3) < 0.15
 
+    @pytest.mark.parametrize(
+        "shape",
+        [1, 2, 3, BM_CHUNK - 1, BM_CHUNK, BM_CHUNK + 1, 2 * BM_CHUNK + 3, (10**6, 2)],
+    )
+    def test_box_muller_blocks_are_bit_identical(self, shape):
+        z = box_muller(stream_rng(7, 3), shape)
+        ref = box_muller_reference(stream_rng(7, 3), shape)
+        assert z.shape == ref.shape
+        assert z.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m, d", [(1, 1), (333, 3), (20000, 3)])
+    def test_complex_matrix_is_bit_identical(self, m, d):
+        gen = stream_rng(11, 2)
+        re = box_muller_reference(gen, (m, d))
+        im = box_muller_reference(gen, (m, d))
+        ref = (re + 1j * im) / np.sqrt(2.0)
+        A = sample_gaussian_matrix(m, d, Field.COMPLEX, seed=11, stream=2)
+        assert A.tobytes() == ref.tobytes()
+
 
 class TestKernelClosedForms:
     def test_real_endpoints(self):
@@ -63,23 +128,39 @@ class TestKernelClosedForms:
         assert abs(kernel_expectation_real(np.pi / 3) - 0.7179955620884588) < 1e-12
 
     def test_complex_endpoints(self):
-        assert abs(kernel_expectation_complex(0.0) - 1.0) < 1e-12
-        assert abs(kernel_expectation_complex(np.pi / 2) - np.pi / 4) < 1e-8
+        assert abs(kernel_expectation_complex(0.0) - 1.0) < 1e-15
+        assert abs(kernel_expectation_complex(np.pi / 2) - np.pi / 4) < 1e-15
 
     def test_angle_folding(self):
         assert kernel_expectation_real(np.pi) == pytest.approx(kernel_expectation_real(0.0))
         assert kernel_expectation_real(-0.3) == pytest.approx(kernel_expectation_real(0.3))
 
-    def test_quadrature_size_validation(self):
-        with pytest.raises(ValueError):
-            kernel_expectation_complex(0.5, n_polar=8)
+    def test_complex_angle_folding(self):
+        for t in np.linspace(0.01, np.pi / 2, 50):
+            value = kernel_expectation_complex(t)
+            assert kernel_expectation_complex(-t) == value
+            assert kernel_expectation_complex(np.pi - t) == pytest.approx(value, rel=1e-14, abs=0)
 
-    def test_quadrature_refinement_converges(self):
-        coarse = kernel_expectation_complex(0.7, 64, 128)
-        fine = kernel_expectation_complex(0.7, 512, 1024)
-        finest = kernel_expectation_complex(0.7, 768, 1536)
-        assert abs(fine - finest) < abs(coarse - finest) + 1e-12
-        assert abs(fine - finest) < 1e-9
+    def test_complex_nan_angle_is_nan(self):
+        assert np.isnan(kernel_expectation_complex(np.nan))
+
+    def test_complex_matches_hypergeometric_series(self):
+        grid = np.linspace(-2 * np.pi, 2 * np.pi, 2001)
+        grid = grid[np.cos(grid) ** 2 <= 0.9]
+        assert len(grid) > 1000
+        for t in grid:
+            assert kernel_expectation_complex(t) == pytest.approx(
+                hypergeometric_series(t), rel=1e-14, abs=0
+            )
+
+    def test_complex_matches_former_quadrature(self):
+        grid = np.linspace(0, np.pi / 2, 401)
+        closed = np.array([kernel_expectation_complex(t) for t in grid])
+        assert np.abs(sphere_quadrature(grid) - closed).max() <= 3e-9
+
+    def test_complex_strictly_decreasing(self):
+        vals = [kernel_expectation_complex(t) for t in np.linspace(0, np.pi / 2, 2000)]
+        assert all(a > b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_monotone_decreasing(self, field):
@@ -87,7 +168,7 @@ class TestKernelClosedForms:
         if field is Field.REAL:
             vals = [kernel_expectation_real(t) for t in grid]
         else:
-            vals = [kernel_expectation_complex(t, 128, 256) for t in grid]
+            vals = [kernel_expectation_complex(t) for t in grid]
         assert all(a >= b - 1e-10 for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

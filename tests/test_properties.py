@@ -1,4 +1,4 @@
-"""Property tests of the d = 2 lower constant and the condition-number floors.
+"""Property tests of the d = 2 and real d = 3 lower constants and the condition-number floors.
 
 Examples are derandomized and bounded, so every run checks the same inputs.
 Real entries are multiples of 1/100, which makes zero, parallel and tied rows
@@ -131,3 +131,51 @@ def test_complex_scaling(A, c):
 def test_complex_beta_respects_floor(A):
     beta = condition_number(A, METHOD_NUMERIC).beta
     assert beta >= universal_lower_bound(Field.COMPLEX) * (1 - 1e-12)
+
+
+# Real d = 3: the exact value by split enumeration, on the integer grid of the d = 2 tests.
+# m = 3..10 keeps each matrix at most 512 splits, so the Tier-1 time stays bounded.
+D3_SETTINGS = settings(max_examples=25, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def real_m_by_3(draw):
+    m = draw(st.integers(3, 10))
+    cells = draw(st.lists(st.integers(-1000, 1000), min_size=3 * m, max_size=3 * m))
+    return np.array(cells, dtype=float).reshape(m, 3) / 100
+
+
+@D3_SETTINGS
+@given(real_m_by_3(), st.data())
+def test_d3_row_sign_flips(A, data):
+    m = len(A)
+    signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m)))
+    assert_same_lower(A, signs[:, None] * A)
+
+
+@D3_SETTINGS
+@given(real_m_by_3(), st.data())
+def test_d3_row_permutations(A, data):
+    perm = data.draw(st.permutations(range(len(A))))
+    assert_same_lower(A, A[list(perm)])
+
+
+@D3_SETTINGS
+@given(real_m_by_3(), st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9))
+def test_d3_right_orthogonal_maps(A, cells):
+    Q, _ = np.linalg.qr(np.array(cells).reshape(3, 3))  # Householder Q is orthogonal for any cells
+    assert_same_lower(A, A @ Q)
+
+
+@D3_SETTINGS
+@given(real_m_by_3(), st.floats(1e-3, 1e3))
+def test_d3_scaling(A, c):
+    assert abs(lower_sq(c * A) / c**2 - lower_sq(A)) <= 1e-13 * upper_lipschitz(A) ** 2
+
+
+@D3_SETTINGS
+@given(real_m_by_3())
+def test_d3_beta_respects_floors(A):
+    beta = condition_number(A).beta
+    assert beta >= universal_lower_bound(Field.REAL) * (1 - 1e-12)
+    assert beta >= real_beta_lower_bound(A.shape[0]) * (1 - 1e-12)
