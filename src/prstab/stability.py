@@ -4,17 +4,18 @@ Two routes to the lower constant: the exact minimum over row splits (real
 field) and constrained numerical minimization over orthogonal pairs (both
 fields).  Real d = 2 is exact for every m on both routes: the m quarter
 windows of the rows sorted by angle mod pi hold an optimal split, scored in
-O(m log m), and the numeric route reports that value with the pair it
-yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed form.
-For d >= 3 (capped at ENUMERATION_CAP rows), for `split_bound` and for the
-frame optimizer's objective, the Gram sums of all 2^(m-1) splits come from
-one subset-sum table built by doubling, one vectorized add per row, and
-each sum adds its rows in increasing index order.  Complex d = 2 searches
-an angle grid and then polls, both through one ratio kernel built per
-matrix: the squared moduli come from the 2 x 2 Gram, the cross term from
-one real (2m x 6) product per batch of pairs.  The upper constant is always
-the spectral norm.  Also provides the universal condition-number floors and
-a derivative-free optimizer probing the best m x 2 real frame.
+O(m log m) per matrix by one batched routine that also scores the frame
+optimizer's candidates, and the numeric route reports that value with the
+pair it yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed
+form.  For d >= 3 (capped at ENUMERATION_CAP rows) and for `split_bound`,
+the Gram sums of all 2^(m-1) splits come from one subset-sum table built by
+doubling, one vectorized add per row, and each sum adds its rows in
+increasing index order.  Complex d = 2 searches an angle grid and then
+polls, both through one ratio kernel built per matrix: the squared moduli
+come from the 2 x 2 Gram, the cross term from one real (2m x 6) product per
+batch of pairs.  The upper constant is always the spectral norm.  Also
+provides the universal condition-number floors and a derivative-free
+optimizer probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .linalg import (
 )
 
 ENUMERATION_CAP = 24
-FRAME_ROW_CAP = 16  # optimize_frame_r2 scores 2^(m-1) splits of every candidate frame
+FRAME_ROW_CAP = 16  # optimize_frame_r2: the largest frames its search has been run at
 ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
 ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
 D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
@@ -218,8 +219,8 @@ def _below_roundoff(lower_sq, fro_sq):
     return lower_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * fro_sq
 
 
-def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
-    """Exact lower constant of a real m x 2 matrix over quarter windows, O(m log m).
+def _lower_exact_windows(A: np.ndarray):
+    """Exact lower constants of a batch of real m x 2 matrices over quarter windows.
 
     With u = x + y and v = x - y, ||<a,x>| - |<a,y>|| = min(|<a,u>|, |<a,v>|)
     and dist(x, y) = min(|u|, |v|), so L^2 is the least value, over u, v
@@ -235,30 +236,50 @@ def _lower_exact_windows(A: np.ndarray) -> tuple[float, tuple[int, ...]]:
     from f_k, so the m windows from the row angles, each scored with its
     complement, reach L^2.
 
-    Both window ends come from `searchsorted` over the stably sorted angles
-    and their copy shifted by pi, so tied rows stay together; window sums
-    are differences of prefix sums of the doubled Gram terms.  A value below
-    their roundoff (`_below_roundoff`) is reported as L = 0.
+    A has shape (B, m, 2), at O(m log m) per matrix.  The rows are sorted
+    stably by angle; window sums are differences of prefix sums of the
+    doubled Gram terms.  A window starts at the first row of its tie group
+    (a running maximum) and ends at the first angle, or angle + pi, that
+    reaches its start + pi/2: one stable argsort per matrix of the queries
+    followed by the angles, so a query sorts before the angles it ties with.
+    Returns (lower_sq, gram, split): per matrix the least window value L^2,
+    0 below its roundoff (`_below_roundoff`), and the packed Gram (g00, g01,
+    g11); `split(b)` is an optimal split of matrix b, sorted row indices with
+    row m-1 in the complement.
     """
-    m = A.shape[0]
-    angle = np.mod(np.arctan2(A[:, 1], A[:, 0]), np.pi)
-    order = np.argsort(angle, kind="stable")
-    angle = angle[order]
-    terms = _subset_gram_terms(A[order])
-    prefix = np.zeros((2 * m + 1, 3))
+    B, m, _ = A.shape
+    angle = np.mod(np.arctan2(A[..., 1], A[..., 0]), np.pi)
+    order = np.argsort(angle, axis=1, kind="stable")
+    index = np.arange(m)
+    frame = np.arange(B)
+    flat = (order + m * frame[:, None]).T  # layout (position, frame) from here on
+    angle = angle.ravel()[flat]
+    rows = A.reshape(-1, 2)[flat]
+    terms = rows[..., [0, 0, 1]] * rows[..., [0, 1, 1]]
+    prefix = np.zeros((2 * m + 1, B, 3))
     np.cumsum(np.concatenate([terms, terms]), axis=0, out=prefix[1:])
-    start = np.searchsorted(angle, angle, side="left")
-    end = np.searchsorted(np.concatenate([angle, angle + np.pi]), angle + np.pi / 2, side="left")
-    window = prefix[end] - prefix[start]
-    tot = lambda_min_2x2_batch(window) + lambda_min_2x2_batch(prefix[m] - window)
-    k = int(np.argmin(tot))
-    rows = order[np.arange(start[k], end[k]) % m]
-    if m - 1 in rows:
-        rows = np.setdiff1d(np.arange(m), rows)
-    best = tot[k]
-    if _below_roundoff(best, prefix[m, 0] + prefix[m, 2]):
-        best = 0.0
-    return float(np.sqrt(best)), tuple(int(i) for i in np.sort(rows))
+    gram = prefix[m]
+    start = np.zeros((m, B), dtype=np.intp)
+    start[1:] = np.where(angle[1:] > angle[:-1], index[1:, None], 0)
+    np.maximum.accumulate(start, axis=0, out=start)
+    keys = np.concatenate([angle + np.pi / 2, angle, angle + np.pi]).T
+    queries = np.flatnonzero(np.argsort(keys, axis=1, kind="stable") < m).reshape(B, m).T
+    end = queries - (3 * m * frame + index[:, None])
+    prefix = prefix.reshape(-1, 3)
+    window = prefix.take(end * B + frame, axis=0) - prefix.take(start * B + frame, axis=0)
+    tot = lambda_min_2x2_batch(window) + lambda_min_2x2_batch(gram - window)
+    lower_sq = tot.min(axis=0)
+    lower_sq[_below_roundoff(lower_sq, gram[:, 0] + gram[:, 2])] = 0.0
+
+    def split(b: int) -> tuple[int, ...]:
+        k = int(np.argmin(tot[:, b]))
+        inside = np.zeros(m, dtype=bool)
+        inside[order[b, np.arange(start[k, b], end[k, b]) % m]] = True
+        if inside[m - 1]:
+            inside = ~inside
+        return tuple(np.flatnonzero(inside).tolist())
+
+    return lower_sq, gram, split
 
 
 def lower_lipschitz_exact_real(A: np.ndarray, threads: int = 1) -> tuple[float, tuple[int, ...]]:
@@ -276,7 +297,8 @@ def lower_lipschitz_exact_real(A: np.ndarray, threads: int = 1) -> tuple[float, 
     if d == 1:
         return float(np.linalg.norm(A)), ()
     if d == 2:
-        return _lower_exact_windows(A)
+        lower_sq, _, split = _lower_exact_windows(A[None])
+        return float(np.sqrt(lower_sq[0])), split(0)
 
     def chunk_min(masks, lam_i, lam_c):
         tot = lam_i + lam_c
@@ -301,11 +323,11 @@ def split_bound(A: np.ndarray, threads: int = 1) -> float:
     return min(_reduce_over_splits(A, chunk_min, threads))
 
 
-def _min_over_scale(p: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Columnwise min over t in [0,1] of (p - 2tq + t^2 r)/(1 + t^2).
+def _scale_step(p, r, q):
+    """Values of (p - 2tq + t^2 r)/(1 + t^2) at t = 0, 1 and t*, and t*.
 
-    The interior critical point solves q t^2 + (r - p) t - q = 0; the
-    positive root is taken in closed form and clamped to [0, 1].
+    The interior critical point solves q t^2 + (r - p) t - q = 0; t* is its
+    positive root in closed form, clamped to [0, 1] (0 where q = 0).
     """
     disc = np.sqrt((p - r) ** 2 + 4 * q * q)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -315,8 +337,13 @@ def _min_over_scale(p: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
     def val(t):
         return (p - 2 * t * q + t * t * r) / (1 + t * t)
 
-    ones = np.ones_like(p)
-    return np.minimum(np.minimum(p, val(ones)), val(t_star))
+    return (p, val(1.0), val(t_star)), t_star
+
+
+def _min_over_scale(p: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Columnwise min over t in [0,1] of (p - 2tq + t^2 r)/(1 + t^2)."""
+    (at_zero, at_one, at_star), _ = _scale_step(p, r, q)
+    return np.minimum(np.minimum(at_zero, at_one), at_star)
 
 
 def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -365,20 +392,6 @@ def _complex_d2_ratio(A: np.ndarray):
         return _min_over_scale(form(X), form(U), ones @ w)
 
     return ratio
-
-
-def _best_scale(A: np.ndarray, x: np.ndarray, u: np.ndarray) -> float:
-    AX = np.abs(A @ x)
-    AU = np.abs(A @ u)
-    p = float((AX**2).sum())
-    r = float((AU**2).sum())
-    q = float((AX * AU).sum())
-    cands = [0.0, 1.0]
-    if q > 0:
-        disc = np.sqrt((p - r) ** 2 + 4 * q * q)
-        cands.append(float(np.clip(((p - r) + disc) / (2 * q), 0.0, 1.0)))
-    vals = [(p - 2 * t * q + t * t * r) / (1 + t * t) for t in cands]
-    return cands[int(np.argmin(vals))]
 
 
 def _orthonormalize_batch(Z: np.ndarray, d: int):
@@ -574,8 +587,9 @@ def lower_lipschitz_numeric(
             stop_reason="closed_form",
         )
     if d == 2 and field_of(A) is Field.REAL:
-        lower, subset = _lower_exact_windows(A)
-        x, y = _pair_from_split(A, subset)
+        lower_sq, _, split = _lower_exact_windows(A[None])
+        lower = float(np.sqrt(lower_sq[0]))
+        x, y = _pair_from_split(A, split(0))
         ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
         return lower, PairCertificate(
             x=x,
@@ -620,8 +634,9 @@ def lower_lipschitz_numeric(
         # coordinate seeds start finite and only improve: the best state is not degenerate
         X, U, _ = _orthonormalize_batch(Z[k : k + 1], d)
         best_x, best_u = X[0], U[0]
-    t = _best_scale(A, best_x, best_u)
-    y = t * best_u
+    AX, AU = np.abs(A @ best_x), np.abs(A @ best_u)
+    values, t_star = _scale_step(*(float(v.sum()) for v in (AX**2, AU**2, AX * AU)))
+    y = (0.0, 1.0, float(t_star))[int(np.argmin(values))] * best_u  # ties: 0, then 1, then t*
     denom = dist(best_x, y)
     ratio = float(np.linalg.norm(phaseless_map(A, best_x) - phaseless_map(A, y)) / denom)
     cert = PairCertificate(
@@ -672,8 +687,6 @@ def condition_number(
     A: np.ndarray,
     method: str = METHOD_EXACT,
     restarts: int = 32,
-    max_iters: int = 4000,
-    tol: float = 1e-9,
     seed: int = 0,
     threads: int = 1,
 ) -> StabilityReport:
@@ -688,9 +701,7 @@ def condition_number(
         lower, cert = lower_lipschitz_exact_real(A, threads=threads)
         certificate: tuple[int, ...] | PairCertificate = cert
     elif method == METHOD_NUMERIC:
-        lower, certificate = lower_lipschitz_numeric(
-            A, restarts=restarts, max_iters=max_iters, tol=tol, seed=seed
-        )
+        lower, certificate = lower_lipschitz_numeric(A, restarts=restarts, seed=seed)
     else:
         raise ValueError(f"unknown method {method!r}")
     beta = beta_from_constants(upper, lower)
@@ -708,25 +719,11 @@ def condition_number(
 
 
 def _frame_beta_batch(rows: np.ndarray) -> np.ndarray:
-    """Exact condition numbers for a batch of m x 2 real frames; inf where L is zero to roundoff."""
-    B, m, _ = rows.shape
-    terms = np.stack(
-        [rows[:, :, 0] ** 2, rows[:, :, 0] * rows[:, :, 1], rows[:, :, 1] ** 2], axis=2
-    )
-    tot = terms.sum(axis=1)
-    g_subset = _subset_sums(np.moveaxis(terms[:, : m - 1], 2, 0))
-    g_complement = tot.T[:, :, None] - g_subset
-    delta_sq = (
-        lambda_min_2x2_batch(np.moveaxis(g_subset, 0, -1))
-        + lambda_min_2x2_batch(np.moveaxis(g_complement, 0, -1))
-    ).min(axis=1)
-    lam_max = (tot[:, 0] + tot[:, 2]) / 2 + np.sqrt(
-        ((tot[:, 0] - tot[:, 2]) / 2) ** 2 + tot[:, 1] ** 2
-    )
+    """Exact condition numbers of a batch of m x 2 real frames; inf where L is zero to roundoff."""
+    lower_sq, g, _ = _lower_exact_windows(rows)
+    lam_max = (g[:, 0] + g[:, 2]) / 2 + np.sqrt(((g[:, 0] - g[:, 2]) / 2) ** 2 + g[:, 1] ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(
-            _below_roundoff(delta_sq, tot[:, 0] + tot[:, 2]), np.inf, np.sqrt(lam_max / delta_sq)
-        )
+        return np.where(lower_sq > 0, np.sqrt(lam_max / lower_sq), np.inf)
 
 
 def _frames_from_params(P: np.ndarray, m: int) -> np.ndarray:
@@ -750,9 +747,11 @@ def optimize_frame_r2(
     """Search for the m x 2 real frame with the smallest condition number.
 
     Multi-start derivative-free minimization over gauge-fixed polar
-    parameters, with the exact subset-enumeration condition number as the
-    objective.  Runs a joint multistart, an angles-only multistart at unit
-    radii, then an expansion-polish of the best incumbents.
+    parameters, with the exact condition number as the objective: the
+    spectral norm over the lower constant from the quarter windows of
+    `_lower_exact_windows`, O(m log m) per candidate frame.  Runs a joint
+    multistart, an angles-only multistart at unit radii, then an
+    expansion-polish of the best incumbents.
     """
     m = int(m)
     if m < 3:
@@ -762,7 +761,7 @@ def optimize_frame_r2(
             m,
             FRAME_ROW_CAP,
             "optimize_frame_r2",
-            "each candidate frame is scored over all 2^(m-1) row splits",
+            "its search has been run only up to that size",
         )
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
