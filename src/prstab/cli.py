@@ -259,7 +259,7 @@ def cmd_recover(args) -> int:
             raise ConfigError("--gaussian sizes must be >= 1")
     field = _parse_field(args.field)
 
-    resolve_threads(args.threads)  # validated only: recovery runs its starts serially
+    resolve_threads(args.threads)  # validated only: the starts run as one batched iterate
     rows = []
     certified = 0
     holds = 0

@@ -86,18 +86,6 @@ def make_gaussian_problem(
     return make_problem_for_matrix(A, noise_level, seed, stream)
 
 
-def _phases(z: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(z):
-        mag = np.abs(z)
-        out = np.ones_like(z)
-        nz = mag > 0
-        out[nz] = z[nz] / mag[nz]  # zero measurements pin the phase to +1
-        return out
-    out = np.sign(z)
-    out[out == 0] = 1.0
-    return out
-
-
 def _spectral_start(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Top eigenvector of the magnitude-weighted covariance, scaled to match b."""
     M = (A.conj().T * (b**2)[None, :]) @ A / max(len(b), 1)
@@ -117,12 +105,19 @@ def solve_quadratic_model(
 ) -> RecoveryResult:
     """Alternating minimization for the magnitude least-squares model.
 
-    One Householder QR of A per problem serves every start.  Each start
-    repeats: fix the measurement phases at the current iterate, solve the
-    phased linear least-squares problem through that QR, stop when the
-    residual decrease falls below `tol`.  The residual is nonincreasing
-    within a start.  The spectral start runs first, then `restarts` random
-    ones; the best (residual, start index) wins.
+    One Householder QR of A per problem serves every start.  The spectral
+    start (column 0) and `restarts` seeded random starts (columns 1..S-1) run
+    as one (d x S) iterate.  Each iteration fixes the measurement phases of
+    every active column at the current iterate (a zero measurement takes
+    phase +1), solves the phased linear least-squares problems through that
+    QR in one block, and takes each column's residual.  A column whose
+    residual decrease falls below `tol` is frozen and leaves the active set,
+    so every start stops where it would stop alone; the residual is
+    nonincreasing within a start.  `iterations` sums the per-start counts.
+
+    Tie rule: the winner is the lowest start index whose final residual is
+    within 8*eps*||b|| of the least one, so starts that end at the same point
+    up to roundoff resolve to the earliest, the spectral start first.
     """
     if restarts < 0 or max_iters < 1:
         raise ValueError("need restarts >= 0 and max_iters >= 1")
@@ -136,31 +131,44 @@ def solve_quadratic_model(
         raise ConditioningError(0)
     Qh = Q.conj().T
 
-    starts = [_spectral_start(A, b)]
+    S = 1 + restarts
+    X = np.empty((d, S), dtype=complex if cplx else float)
+    X[:, 0] = _spectral_start(A, b)
     gen = stream_rng(seed, 23)
-    for _ in range(restarts):
+    for s in range(1, S):
         v = gen.standard_normal(d)
         if cplx:
             v = (v + 1j * gen.standard_normal(d)) / np.sqrt(2)
-        starts.append(v)
+        X[:, s] = v
 
-    total_iters = 0
-    for si, x in enumerate(starts):
-        z = A @ x
-        hist = []
-        prev = np.inf
-        for _ in range(max_iters):
-            x = np.linalg.solve(R, Qh @ (_phases(z) * b))
-            z = A @ x
-            res = float(np.linalg.norm(np.abs(z) - b))
-            hist.append(res)
-            if prev - res < tol:
+    bcol = b[:, None]
+    hist = np.empty((max_iters, S))
+    counts = np.full(S, max_iters)
+    prev = np.full(S, np.inf)
+    active = np.arange(S)
+    Z = A @ X
+    mag = np.abs(Z)
+    for it in range(max_iters):
+        P = np.divide(Z, mag, out=np.ones_like(Z), where=mag > 0)
+        Xa = np.linalg.solve(R, Qh @ (P * bcol))
+        Z = A @ Xa
+        mag = np.abs(Z)
+        res = np.linalg.norm(mag - bcol, axis=0)
+        X[:, active] = Xa
+        hist[it, active] = res
+        stop = prev[active] - res < tol
+        prev[active] = res
+        if stop.any():
+            counts[active[stop]] = it + 1
+            keep = ~stop
+            active, Z, mag = active[keep], Z[:, keep], mag[:, keep]
+            if active.size == 0:
                 break
-            prev = res
-        total_iters += len(hist)
-        if si == 0 or hist[-1] < best_hist[-1]:
-            best_si, best_x, best_hist = si, x, tuple(hist)
 
+    # prev now holds each start's final residual
+    best = int(np.argmax(prev <= prev.min() + 8 * np.finfo(float).eps * np.linalg.norm(b)))
+    best_x = X[:, best].copy()
+    best_hist = tuple(float(r) for r in hist[: counts[best], best])
     residual = best_hist[-1]
     certified = problem.eta is not None and residual <= float(np.linalg.norm(problem.eta)) + 1e-12
     d_truth = dist(best_x, problem.x0) if problem.x0 is not None else None
@@ -169,8 +177,8 @@ def solve_quadratic_model(
         residual=residual,
         dist_to_truth=d_truth,
         certified=bool(certified),
-        iterations=total_iters,
-        best_start=best_si,
+        iterations=int(counts.sum()),
+        best_start=best,
         residual_history=best_hist,
     )
 

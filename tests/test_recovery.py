@@ -5,6 +5,7 @@ from prstab import (
     ConditioningError,
     Field,
     RecoveryProblem,
+    RecoveryResult,
     check_error_bound,
     dist,
     make_gaussian_problem,
@@ -12,8 +13,97 @@ from prstab import (
     phaseless_map,
     sample_gaussian_matrix,
     solve_quadratic_model,
+    stream_rng,
     universal_lower_bound,
 )
+from prstab.linalg import field_of
+from prstab.recovery import _spectral_start
+
+EPS = np.finfo(float).eps
+
+
+def serial_solve(problem, restarts=16, max_iters=200, tol=1e-12, seed=0):
+    """Oracle: the starts of `solve_quadratic_model` run one after another.
+
+    Each start is a matrix-vector loop with the same stop rule; the first
+    strictly least final residual wins.  Returns the result and the final
+    (residual, x) of every start.
+    """
+    A, b = problem.matrix, problem.b
+    d = A.shape[1]
+    cplx = field_of(A) is Field.COMPLEX
+    Q, R = np.linalg.qr(A)
+    Qh = Q.conj().T
+
+    def phases(z):
+        if cplx:
+            mag = np.abs(z)
+            out = np.ones_like(z)
+            nz = mag > 0
+            out[nz] = z[nz] / mag[nz]
+            return out
+        out = np.sign(z)
+        out[out == 0] = 1.0
+        return out
+
+    starts = [_spectral_start(A, b)]
+    gen = stream_rng(seed, 23)
+    for _ in range(restarts):
+        v = gen.standard_normal(d)
+        if cplx:
+            v = (v + 1j * gen.standard_normal(d)) / np.sqrt(2)
+        starts.append(v)
+
+    total_iters = 0
+    finals = []
+    for si, x in enumerate(starts):
+        z = A @ x
+        hist = []
+        prev = np.inf
+        for _ in range(max_iters):
+            x = np.linalg.solve(R, Qh @ (phases(z) * b))
+            z = A @ x
+            res = float(np.linalg.norm(np.abs(z) - b))
+            hist.append(res)
+            if prev - res < tol:
+                break
+            prev = res
+        total_iters += len(hist)
+        finals.append((hist[-1], x))
+        if si == 0 or hist[-1] < best_hist[-1]:
+            best_si, best_x, best_hist = si, x, tuple(hist)
+
+    residual = best_hist[-1]
+    certified = problem.eta is not None and residual <= float(np.linalg.norm(problem.eta)) + 1e-12
+    result = RecoveryResult(
+        x_hat=best_x,
+        residual=residual,
+        dist_to_truth=dist(best_x, problem.x0) if problem.x0 is not None else None,
+        certified=bool(certified),
+        iterations=total_iters,
+        best_start=best_si,
+        residual_history=best_hist,
+    )
+    return result, finals
+
+
+def ill_conditioned_matrix(sigma_min):
+    U, _ = np.linalg.qr(sample_gaussian_matrix(80, 3, Field.REAL, seed=14))
+    V, _ = np.linalg.qr(sample_gaussian_matrix(3, 3, Field.REAL, seed=15))
+    return (U * np.array([1.0, 0.5, sigma_min])) @ V.T
+
+
+def oracle_corpus():
+    """(problem, seed) pairs: both fields, noisy and noiseless, ill-conditioned, fixed matrix."""
+    for field, m, d in ((Field.REAL, 120, 4), (Field.COMPLEX, 80, 4)):
+        for noise in (0.0, 0.1):
+            for seed in range(3):
+                yield make_gaussian_problem(m, d, field, noise, seed=seed), seed
+    for sigma_min in (1e-6, 1e-8, 1e-10):
+        yield make_problem_for_matrix(ill_conditioned_matrix(sigma_min), 0.0, seed=16), 16
+    A = sample_gaussian_matrix(300, 4, Field.REAL, seed=21)
+    for stream in range(3):
+        yield make_problem_for_matrix(A, 0.1, seed=21, stream=stream), stream
 
 
 class TestSolver:
@@ -67,10 +157,7 @@ class TestSolver:
     @pytest.mark.parametrize("sigma_min", [1e-6, 1e-8, 1e-10])
     def test_ill_conditioned_noiseless_recovery(self, sigma_min):
         # least squares through QR sees cond(A), not the cond(A)^2 of the normal equations
-        U, _ = np.linalg.qr(sample_gaussian_matrix(80, 3, Field.REAL, seed=14))
-        V, _ = np.linalg.qr(sample_gaussian_matrix(3, 3, Field.REAL, seed=15))
-        A = (U * np.array([1.0, 0.5, sigma_min])) @ V.T
-        problem = make_problem_for_matrix(A, 0.0, seed=16)
+        problem = make_problem_for_matrix(ill_conditioned_matrix(sigma_min), 0.0, seed=16)
         result = solve_quadratic_model(problem, seed=16)
         assert result.dist_to_truth <= 1e-6 * np.linalg.norm(problem.x0)
         assert result.certified
@@ -79,9 +166,9 @@ class TestSolver:
         # bit-exact values of one seeded run; any change to the arithmetic moves them
         problem = make_gaussian_problem(400, 12, Field.COMPLEX, noise_level=0.1, seed=7)
         result = solve_quadratic_model(problem, seed=7)
-        assert result.residual == float.fromhex("0x1.e038ed1d848b7p+2")
+        assert result.residual == float.fromhex("0x1.e038ed1d84950p+2")
         assert result.iterations == 786
-        assert result.best_start == 16
+        assert result.best_start == 0
 
     def test_rank_deficient_matrix_raises(self):
         A = np.zeros((6, 2))
@@ -100,6 +187,61 @@ class TestSolver:
         r2 = solve_quadratic_model(problem, seed=8)
         assert np.array_equal(r1.x_hat, r2.x_hat)
         assert r1.residual == r2.residual
+
+
+class TestBatchedStarts:
+    def test_matches_serial_oracle(self):
+        for problem, seed in oracle_corpus():
+            result = solve_quadratic_model(problem, seed=seed)
+            ref, _ = serial_solve(problem, seed=seed)
+            scale = np.linalg.norm(problem.x0)
+            assert abs(result.residual - ref.residual) <= 16 * EPS * np.linalg.norm(problem.b)
+            assert abs(result.dist_to_truth - ref.dist_to_truth) <= 1e-6 * scale
+            assert result.certified == ref.certified
+            assert (
+                check_error_bound(result, problem)["holds"] == check_error_bound(ref, problem)["holds"]
+            )
+            assert abs(result.iterations - ref.iterations) <= 17  # one per start
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_best_history_nonincreasing(self, field):
+        for seed in range(4):
+            problem = make_gaussian_problem(120, 4, field, noise_level=0.1, seed=seed)
+            hist = solve_quadratic_model(problem, seed=seed).residual_history
+            slack = 4 * EPS * np.linalg.norm(problem.b)
+            assert all(a >= b - slack for a, b in zip(hist, hist[1:]))
+
+    @pytest.mark.parametrize("max_iters", [1, 3, 200])
+    def test_history_within_budget(self, max_iters):
+        problem = make_gaussian_problem(120, 4, Field.COMPLEX, noise_level=0.1, seed=5)
+        result = solve_quadratic_model(problem, max_iters=max_iters, seed=5)
+        assert 1 <= len(result.residual_history) <= max_iters
+        assert result.residual == result.residual_history[-1]
+        assert result.iterations <= 17 * max_iters
+        if max_iters == 1:
+            assert result.iterations == 17
+
+    def test_no_restarts_runs_spectral_start_alone(self):
+        for field in (Field.REAL, Field.COMPLEX):
+            problem = make_gaussian_problem(120, 4, field, noise_level=0.1, seed=6)
+            result = solve_quadratic_model(problem, restarts=0, seed=6)
+            ref, finals = serial_solve(problem, restarts=0, seed=6)
+            assert len(finals) == 1
+            assert result.best_start == 0
+            assert result.iterations == len(result.residual_history)
+            assert abs(result.iterations - ref.iterations) <= 1
+            assert abs(result.residual - ref.residual) <= 16 * EPS * np.linalg.norm(problem.b)
+
+    def test_tied_starts_resolve_to_spectral(self):
+        checked = 0
+        for seed in range(6):
+            problem = make_gaussian_problem(200, 4, Field.REAL, noise_level=0.0, seed=seed)
+            _, finals = serial_solve(problem, seed=seed)
+            scale = np.linalg.norm(problem.x0)
+            if all(dist(x, problem.x0) <= 1e-8 * scale for _, x in finals):
+                checked += 1
+                assert solve_quadratic_model(problem, seed=seed).best_start == 0
+        assert checked >= 4
 
 
 class TestProblemSynthesis:
