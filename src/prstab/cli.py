@@ -154,7 +154,7 @@ def cmd_analyze(args) -> int:
             }
         }
     else:
-        certificate = {"subset": list(cert)}
+        certificate = {"subset": list(cert), "splits_scored": report.splits_scored}
     payload = {
         "upper": report.upper,
         "lower": report.lower,

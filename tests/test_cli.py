@@ -88,6 +88,27 @@ class TestAnalyze:
         report = json.loads(out)
         assert report["beta"] == "inf" and report["lower"] == 0.0
 
+    def test_exact_counts_splits_scored(self, tmp_path, capsys):
+        # real d = 1, 2 and 3; the 18 x 3 enumeration runs two chunks, pooled at 2 threads
+        rng = np.random.default_rng(13)
+        for m, d in ((5, 1), (9, 2), (18, 3)):
+            path = tmp_path / f"a{m}x{d}.mat"
+            write_matrix(path, rng.standard_normal((m, d)))
+            outs = []
+            for threads in ("1", "2"):
+                argv = ["analyze", "--matrix", str(path), "--method", "exact"]
+                code, out, _ = run_cli(capsys, *argv, "--threads", threads)
+                assert code == 0
+                outs.append(out)
+            assert outs[0] == outs[1]
+            certificate = json.loads(outs[0])["certificate"]
+            assert list(certificate) == ["subset", "splits_scored"]
+            scored = certificate["splits_scored"]
+            if d <= 2:
+                assert scored == (0 if d == 1 else m)
+            else:
+                assert 2 * 64 <= scored < 1 << (m - 1)
+
     def test_exact_on_complex_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.mat"
         write_matrix(path, np.eye(2, dtype=complex))

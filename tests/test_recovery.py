@@ -17,7 +17,7 @@ from prstab import (
     universal_lower_bound,
 )
 from prstab.linalg import field_of
-from prstab.recovery import _spectral_start
+from prstab.recovery import CERTIFY_SLACK, _spectral_start
 
 EPS = np.finfo(float).eps
 
@@ -74,7 +74,8 @@ def serial_solve(problem, restarts=16, max_iters=200, tol=1e-12, seed=0):
             best_si, best_x, best_hist = si, x, tuple(hist)
 
     residual = best_hist[-1]
-    certified = problem.eta is not None and residual <= float(np.linalg.norm(problem.eta)) + 1e-12
+    slack = CERTIFY_SLACK * EPS * np.linalg.norm(problem.b)
+    certified = problem.eta is not None and residual <= float(np.linalg.norm(problem.eta)) + slack
     result = RecoveryResult(
         x_hat=best_x,
         residual=residual,
@@ -118,6 +119,16 @@ class TestSolver:
         problem = make_gaussian_problem(80, 4, Field.COMPLEX, noise_level=0.0, seed=2)
         result = solve_quadratic_model(problem, seed=2)
         assert result.dist_to_truth <= 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_complex_recovery_is_certified(self, seed):
+        # the residual of an exact complex recovery sits some 100s of eps ||b|| above
+        # zero, past an absolute 1e-12 slack; the relative slack certifies it
+        problem = make_gaussian_problem(80, 4, Field.COMPLEX, 0.0, seed=seed)
+        result = solve_quadratic_model(problem, seed=seed)
+        assert result.dist_to_truth <= 1e-8 * np.linalg.norm(problem.x0)
+        assert result.residual > 1e-12
+        assert result.certified
 
     def test_zero_measurements_give_zero(self):
         A = sample_gaussian_matrix(20, 3, Field.REAL, seed=3)

@@ -21,14 +21,19 @@ from prstab import (
 )
 from prstab.linalg import GRAM_LIMIT
 from prstab.stability import (
+    ENUM_CHUNK,
+    ENUM_CHUNK_BITS,
     METHOD_EXACT,
     METHOD_NUMERIC,
+    PRUNE_PROBES,
     ZERO_ROUNDOFF_FACTOR,
     EnumerationCapError,
     PairCertificate,
+    _chunk_gram_sums,
     _complex_d2_ratio,
     _frame_beta_batch,
     _lambda_min_batch,
+    _lambda_min_lower_batch,
     _lower_exact_windows,
     _orthonormalize_batch,
     _pair_objective,
@@ -37,8 +42,10 @@ from prstab.stability import (
     _ratio_sq_min_over_scale,
     _reduce_over_splits,
     _subset_gram_terms,
+    _subset_sums,
 )
 from prstab.linalg import lambda_min_2x2_batch
+from prstab.workers import chunk_ranges
 
 THREE_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [2**-0.5, 2**-0.5]])
 THREE_ROWS_LOWER = 0.5411961001461969  # sqrt(1 - 1/sqrt(2)), frozen from the
@@ -246,6 +253,120 @@ class TestExactLowerHigherDim:
         assert abs(split_bound(A) - brute_force_split_bound(A)) < 1e-10
 
 
+def unpruned_split_min(A):
+    """Oracle: the split enumeration as it ran before pruning, every split scored exactly.
+
+    The same chunked subset-sum tables and lambda_min kernels, reduced as
+    before: per chunk the first least value, then the least over chunks.
+    Returns ((L^2, first minimizing mask), split_bound).
+    """
+    m, d = A.shape
+    terms = _subset_gram_terms(A)
+    total = terms.sum(axis=0)
+    low_rows = min(m - 1, ENUM_CHUNK_BITS)
+    low = _subset_sums(terms[:low_rows].T)
+    exact, bound = [], []
+    for lo, _ in chunk_ranges(1 << (m - 1), ENUM_CHUNK):
+        g_subset = low.copy()
+        for j in range(low_rows, m - 1):
+            if (lo >> j) & 1:
+                g_subset += terms[j][:, None]
+        lam_i = _lambda_min_batch(g_subset.T, d)
+        lam_c = _lambda_min_batch((total[:, None] - g_subset).T, d)
+        tot = lam_i + lam_c
+        k = int(np.argmin(tot))
+        exact.append((float(tot[k]), lo + k))
+        bound.append(float(np.maximum(np.sqrt(lam_i), np.sqrt(lam_c)).min()))
+    return min(exact), min(bound)
+
+
+def pruning_corpus(m, d, rng):
+    """Random rows; zero, parallel and repeated rows; integers with exact ties; m < 2d-1."""
+    degenerate = rng.standard_normal((m, d))
+    degenerate[0] = 0.0
+    degenerate[1] = -2.5 * degenerate[2]
+    degenerate[3] = degenerate[2]
+    return [
+        rng.standard_normal((m, d)),
+        degenerate,
+        rng.integers(-2, 3, (m, d)).astype(float),
+        np.repeat(rng.integers(-1, 2, (m // 2 + 1, d)).astype(float), 2, axis=0)[:m],
+        rng.standard_normal((min(m, 2 * d - 2), d)),
+    ]
+
+
+class TestPrunedEnumeration:
+    """Bound-pruned split enumeration against the unpruned oracle, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "m,d",
+        [(m, d) for d in range(2, 6) for m in range(4, 20) if d <= 3 or m <= 13 or m in (16, 19)],
+    )
+    def test_matches_unpruned_oracle(self, m, d):
+        rng = np.random.default_rng(1000 * d + m)
+        corpus = pruning_corpus(m, d, rng)
+        scales = (-12, -6, 0, 6, 12)
+        if m > 13:
+            # the oracle scores all 2^(m-1) splits, by eigvalsh for d >= 4
+            corpus, scales = (corpus, (-12, 0, 12)) if d <= 3 else (corpus[2:3], (0,))
+        for A0 in corpus:
+            for k in scales:
+                A = A0 * 10.0**k
+                (oracle_sq, oracle_mask), oracle_bound = unpruned_split_min(A)
+                value_sq, mask, scored = _reduce_over_splits(A, np.add)
+                assert (value_sq, mask) == (oracle_sq, oracle_mask)
+                assert min(PRUNE_PROBES, 1 << (A.shape[0] - 1)) <= scored <= 1 << (A.shape[0] - 1)
+                assert split_bound(A) == oracle_bound
+                if d >= 3:
+                    stats = {}
+                    value, subset = lower_lipschitz_exact_real(A, stats=stats)
+                    assert value == np.sqrt(oracle_sq)
+                    assert subset == tuple(i for i in range(A.shape[0]) if (oracle_mask >> i) & 1)
+                    assert stats == {"splits_scored": scored}
+                if A.shape[0] < 2 * d - 1:
+                    # below the injectivity count: some split has two rank-deficient sides
+                    assert value_sq <= 64 * np.finfo(float).eps * np.sum(A * A)
+
+    def test_prunes_and_counts_independently_of_threads(self):
+        A = np.random.default_rng(19).standard_normal((19, 3))
+        stats1, stats2 = {}, {}
+        r1 = lower_lipschitz_exact_real(A, threads=1, stats=stats1)
+        r2 = lower_lipschitz_exact_real(A, threads=2, stats=stats2)
+        assert r1 == r2 and stats1 == stats2
+        # four chunks of 2^16 splits: each scores its probes and few more
+        assert 4 * PRUNE_PROBES <= stats1["splits_scored"] <= 1 << 14
+
+    def test_split_counts_of_closed_forms(self):
+        rng = np.random.default_rng(20)
+        for m, d, scored in ((9, 1, 0), (9, 2, 9), (40, 2, 40)):
+            stats = {}
+            lower_lipschitz_exact_real(rng.standard_normal((m, d)), stats=stats)
+            assert stats == {"splits_scored": scored}
+        assert condition_number(rng.standard_normal((7, 3))).splits_scored <= 64
+        assert condition_number(rng.standard_normal((7, 3)), METHOD_NUMERIC).splits_scored is None
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_bound_is_below_lambda_min(self, d):
+        # graded, clustered and singular spectra, rotated: the bound stays below
+        # the computed lambda_min up to a few eps * trace, far inside the margin
+        rng = np.random.default_rng(30 + d)
+        n = 4000
+        spectra = 10.0 ** rng.uniform(-16, 0, (n, d))
+        spectra[: n // 4, 1 % d] = spectra[: n // 4, 0]
+        spectra[n // 4 : n // 2, 1:] = 1.0
+        spectra[n // 2 : 5 * n // 8, 0] = 0.0
+        Q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
+        G = np.einsum("nij,nj,nkj->nik", Q, spectra, Q)
+        G = (G + G.transpose(0, 2, 1)) / 2
+        packed = {1: [(0, 0)], 2: [(0, 0), (0, 1), (1, 1)]}
+        packed[3] = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+        g = np.stack([G[:, i, j] for i, j in packed[d]], axis=1) if d <= 3 else G.reshape(n, -1)
+        trace = np.trace(G, axis1=1, axis2=2)
+        excess = _lambda_min_lower_batch(g, d) - _lambda_min_batch(g, d)
+        assert np.all(excess <= 4 * np.finfo(float).eps * trace)
+        assert np.all(_lambda_min_lower_batch(np.zeros((3, g.shape[1])), d) == 0.0)
+
+
 def _split_bits(m: int) -> np.ndarray:
     """0/1 matrix of the 2^(m-1) split masks over the first m-1 rows."""
     n = 1 << (m - 1)
@@ -330,20 +451,19 @@ class TestSubsetSumTable:
         A[m // 2] = -1.5 * A[0]
         terms = _subset_gram_terms(A)
         total = terms.sum(axis=0)
-        lam_i = []
-        lam_c = []
-        for masks, li, lc in _reduce_over_splits(A, lambda *chunk: chunk):
-            ref = _split_bits(m)[masks.astype(np.int64)] @ terms[: m - 1]
-            lam_i.append((li, _lambda_min_batch(ref, d)))
-            lam_c.append((lc, _lambda_min_batch(total[None, :] - ref, d)))
-        assert sum(len(li) for li, _ in lam_i) == 1 << (m - 1)
-        for got, ref in lam_i + lam_c:
+        low = _subset_sums(terms[: min(m - 1, ENUM_CHUNK_BITS)].T)
+        bits = _split_bits(m)
+        for lo, hi in chunk_ranges(1 << (m - 1), ENUM_CHUNK):
+            got = _chunk_gram_sums(terms, low, lo).T
+            ref = bits[lo:hi] @ terms[: m - 1]
+            assert got.shape == ref.shape
             if d == 1:
                 # bits @ terms runs as a gemv here, whose summation order may differ
                 assert np.max(np.abs(got - ref)) <= 1e-15 * total[0]
-            else:
-                assert np.array_equal(got, ref)
-
+                continue
+            assert np.array_equal(got, ref)
+            for side, ref_side in ((got, ref), (total - got, total[None, :] - ref)):
+                assert np.array_equal(_lambda_min_batch(side, d), _lambda_min_batch(ref_side, d))
 
     def test_rank_one_frame_is_infinite(self):
         # all rows parallel: L = 0, and the objective must not score roundoff as beta ~ 1e8
