@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import queue
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, workers
 from .gaussian import (
     GaussianExperiment,
     gaussian_beta_experiment,
@@ -219,18 +220,30 @@ def cmd_kernel(args) -> int:
         raise ConfigError("--grid must be >= 2")
     if args.mc_samples < 1000:
         raise ConfigError("--mc-samples must be >= 1000")
+    threads = resolve_threads(args.threads)
     thetas = np.linspace(0.0, np.pi / 2, args.grid)
-    rows = []
-    flagged = 0
-    for i, theta in enumerate(thetas):
-        if field is Field.REAL:
-            closed = kernel_expectation_real(theta)
-        else:
-            closed = kernel_expectation_complex(theta)
-        est, se = mc_kernel_expectation(field, theta, args.mc_samples, args.seed, stream=i)
-        if abs(closed - est) > 4 * se:
-            flagged += 1
-        rows.append([theta, closed, est, se, kernel_expectation_bound(field, theta)])
+    closed_form = kernel_expectation_real if field is Field.REAL else kernel_expectation_complex
+
+    # The samples of each running grid point go into a buffer allocated here, on
+    # the calling thread: glibc keeps what a worker thread frees in that
+    # thread's arena, where later commands cannot reuse it.
+    buffers = queue.SimpleQueue()
+    for _ in range(min(threads, len(thetas))):
+        buffers.put(np.empty(args.mc_samples))
+
+    def grid_point(i: int) -> list:
+        theta = thetas[i]
+        vals = buffers.get()
+        try:
+            est, se = mc_kernel_expectation(
+                field, theta, args.mc_samples, args.seed, stream=i, out=vals
+            )
+        finally:
+            buffers.put(vals)
+        return [theta, closed_form(theta), est, se, kernel_expectation_bound(field, theta)]
+
+    rows = workers.run_indexed(grid_point, range(len(thetas)), threads)
+    flagged = sum(abs(closed - est) > 4 * se for _, closed, est, se, _ in rows)
     _write_csv(args.csv, ["theta", "closed_form", "mc_estimate", "mc_se", "bound"], rows)
     if args.csv:
         sys.stdout.write(f"rows={len(rows)} flagged={flagged}\n")
@@ -360,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
+    add_threads(p, "pool size for the grid points (default: PRSTAB_THREADS or logical cores)")
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("recover", help="magnitude least-squares recovery trials")

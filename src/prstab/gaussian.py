@@ -7,6 +7,13 @@ Normal variates are produced by Box-Muller on the uniform stream rather than
 the generator's native method, which pins the exact bit stream; the transform
 runs in blocks of ``BM_CHUNK`` pairs written into one output array.
 
+The Monte Carlo check of the kernel expectation never builds its sample
+matrix.  Two cursors on the (seed, stream) address, the second advanced n
+draws, feed the radius and phase uniforms to the same block transform, and
+each block's rows go straight into the one n-length array of samples, bit
+for bit the rows of ``sample_gaussian_matrix(n, 2, ...)``.  A `kernel` grid
+point thus holds one n-length array while it runs.
+
 Both kernel expectations ``E |<y, a><a, x>|`` are exact closed forms.  For
 unit complex vectors at angle t it is the hypergeometric value
 ``(pi/4) 2F1(-1/2, -1/2; 1; cos^2 t) = E(k) - (1 - k^2) K(k) / 2`` with
@@ -41,30 +48,39 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     )
 
 
+def _box_muller_block(u1: np.ndarray, u2: np.ndarray, cos_out: np.ndarray, sin_out: np.ndarray):
+    """One block of Box-Muller: u1 and u2 become the radius and phase in place."""
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)  # 1 - u1 in (0, 1] keeps log finite
+    u1 *= -2.0
+    np.sqrt(u1, out=u1)
+    u2 *= 2 * np.pi
+    np.cos(u2, out=cos_out)
+    cos_out *= u1
+    np.sin(u2, out=sin_out)
+    sin_out *= u1
+
+
 def box_muller(gen: np.random.Generator, shape) -> np.ndarray:
     """Standard normals via Box-Muller on the generator's uniform stream."""
     n = int(np.prod(shape)) if shape else 1
     pairs = (n + 1) // 2
     u1 = gen.random(pairs)
     u2 = gen.random(pairs)
-    # z[:pairs] holds the cosine halves and z[pairs:] the sine halves; u1 and u2
-    # become the radius and phase buffers in place, one block at a time
+    # z[:pairs] holds the cosine halves and z[pairs:] the sine halves
     z = np.empty(2 * pairs)
     for lo in range(0, pairs, BM_CHUNK):
         hi = min(lo + BM_CHUNK, pairs)
-        radius = u1[lo:hi]
-        np.negative(radius, out=radius)
-        np.log1p(radius, out=radius)  # 1 - u1 in (0, 1] keeps log finite
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        phase = u2[lo:hi]
-        phase *= 2 * np.pi
-        cos_half, sin_half = z[lo:hi], z[pairs + lo : pairs + hi]
-        np.cos(phase, out=cos_half)
-        cos_half *= radius
-        np.sin(phase, out=sin_half)
-        sin_half *= radius
+        _box_muller_block(u1[lo:hi], u2[lo:hi], z[lo:hi], z[pairs + lo : pairs + hi])
     return z[:n].reshape(shape)
+
+
+def _cursor(seed: int, stream: int, skip: int) -> np.random.Generator:
+    """Generator on the (seed, stream) address, `skip` uniform draws in."""
+    gen = stream_rng(seed, stream)
+    gen.bit_generator.advance(skip // 4)  # one Philox counter step is four draws
+    gen.random(skip % 4)
+    return gen
 
 
 def sample_gaussian_matrix(m: int, d: int, field: Field, seed: int, stream: int = 0) -> np.ndarray:
@@ -129,24 +145,82 @@ def kernel_expectation_bound(field: Field, theta: float) -> float:
     return float(np.cos(t) + (1 - 1 / b0**2) * (1 - np.cos(t)))
 
 
+def _kernel_rows(z: np.ndarray, c: float, s: float, out: np.ndarray) -> None:
+    """|conj(<a, x>) <a, y>| for the rows a = (z[:, 2r], z[:, 2r + 1]) into `out`.
+
+    z[0] holds the real parts and z[1], for the complex field, the imaginary
+    parts, laid out as `sample_gaussian_matrix(n, 2, ...)` lays out its rows.
+    """
+    A = z[0].reshape(-1, 2)
+    if len(z) == 2:
+        A = (A + 1j * z[1].reshape(-1, 2)) / np.sqrt(2.0)
+    ax = A[:, 0]
+    ay = A[:, 0] * c + A[:, 1] * s
+    np.abs(np.conj(ax) * ay, out=out)
+
+
 def mc_kernel_expectation(
-    field: Field, theta: float, n: int, seed: int, stream: int = 0
+    field: Field, theta: float, n: int, seed: int, stream: int = 0, out: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel expectation with its standard error.
 
     Uses x = e1 and y = (cos t, sin t) in dimension 2; the expectation only
-    depends on the angle.
+    depends on the angle.  The rows a are those of
+    `sample_gaussian_matrix(n, 2, field, seed, stream)`, bit for bit, but the
+    matrix is never built: two cursors on the (seed, stream) address draw
+    the radius and phase uniforms (the phase cursor n draws ahead; for the
+    complex field the imaginary parts start 2n draws in), and each block of
+    BM_CHUNK pairs gives its cosine halves to rows below n/2 and its sine
+    halves to the rows above (for odd n, row (n-1)/2 takes the last cosine
+    and the first sine).  The only n-length array is the samples themselves,
+    `out` (n float64 entries, overwritten) when given; the standard error
+    takes numpy's std steps in place on it.
     """
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
+    n = int(n)
+    if out is not None and (out.shape != (n,) or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of shape ({n},)")
     t = _fold_angle(theta)
-    A = sample_gaussian_matrix(int(n), 2, field, seed, stream)
-    ax = A[:, 0]
-    ay = A[:, 0] * np.cos(t) + A[:, 1] * np.sin(t)
-    vals = np.abs(np.conj(ax) * ay)
+    c, s = np.cos(t), np.sin(t)
+    parts = 1 if field is Field.REAL else 2
+    cursors = [
+        (_cursor(seed, stream, 2 * n * k), _cursor(seed, stream, 2 * n * k + n))
+        for k in range(parts)
+    ]
+    odd, half = n % 2, n // 2
+    u = np.empty((2, BM_CHUNK))
+    cos_halves = np.empty((parts, BM_CHUNK))
+    # for odd n, slot 0 carries the previous block's last sine half, since the
+    # sine rows then pair halves (2k + 1, 2k + 2)
+    sin_halves = np.zeros((parts, BM_CHUNK + 1))
+    vals = np.empty(n) if out is None else out
+    for lo in range(0, n, BM_CHUNK):
+        size = min(BM_CHUNK, n - lo)
+        for k, (radius_gen, phase_gen) in enumerate(cursors):
+            u1, u2 = radius_gen.random(out=u[0, :size]), phase_gen.random(out=u[1, :size])
+            _box_muller_block(u1, u2, cos_halves[k, :size], sin_halves[k, odd : odd + size])
+        if lo == 0:
+            first_sin = sin_halves[:, odd].copy()
+        rows = size // 2
+        _kernel_rows(cos_halves[:, : 2 * rows], c, s, vals[lo // 2 : lo // 2 + rows])
+        rows = (odd + size) // 2
+        start = half + lo // 2
+        _kernel_rows(sin_halves[:, : 2 * rows], c, s, vals[start : start + rows])
+        if odd:
+            sin_halves[:, 0] = sin_halves[:, size]
+    if odd:  # the first block wrote a placeholder into the straddling row
+        straddle = np.stack([cos_halves[:, size - 1], first_sin], axis=1)
+        _kernel_rows(straddle, c, s, vals[half : half + 1])
     est = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(n))
-    return est, se
+    # vals.std(ddof=1), step for step as numpy takes it, but without its
+    # n-length array of deviations
+    mean = np.add.reduce(vals, keepdims=True)
+    np.true_divide(mean, n, out=mean)
+    np.subtract(vals, mean, out=vals)
+    np.square(vals, out=vals)
+    std = np.sqrt(np.add.reduce(vals) / (n - 1))
+    return est, float(std / np.sqrt(n))
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,9 @@ def _reduce_over_splits(A: np.ndarray, combine, threads: int = 1) -> tuple[float
 
     Masks range over subsets of the first m-1 rows, so each pair {I, I^c} is
     visited exactly once (the last row always sits in the complement), in
-    fixed chunks of ENUM_CHUNK masks over `threads` workers.  `combine` is
+    fixed chunks of ENUM_CHUNK masks, over `threads` workers for d <= 3 and
+    serially for d >= 4: there the bound's batched np.linalg.det does not
+    overlap across threads, so a pool loses time.  `combine` is
     np.add (the exact L^2) or np.maximum (`split_bound`).  Returns (value,
     mask, scored): the least value, the first mask attaining it, and the
     number of splits whose exact lambda_min was taken.
@@ -283,7 +285,7 @@ def _reduce_over_splits(A: np.ndarray, combine, threads: int = 1) -> tuple[float
         return float(values[k]), lo + int(kept[k]), scored
 
     chunks = workers.chunk_ranges(1 << (m - 1), ENUM_CHUNK)
-    results = workers.run_indexed(do_chunk, chunks, threads)
+    results = workers.run_indexed(do_chunk, chunks, threads if d <= 3 else 1)
     value, mask = min((value, mask) for value, mask, _ in results)
     return value, mask, sum(scored for _, _, scored in results)
 
@@ -381,8 +383,9 @@ def lower_lipschitz_exact_real(
     0-based, with row m-1 always in the complement.  d = 1 is ||a|| (every
     split has the value sum a_i^2; the subset is empty) and d = 2 scores
     quarter windows in O(m log m), both for any m.  d >= 3 enumerates the
-    splits over `threads` workers, up to ENUMERATION_CAP rows, and takes the
-    exact lambda_min only of the splits whose determinant bound,
+    splits (over `threads` workers for d = 3, serially for d >= 4), up to
+    ENUMERATION_CAP rows, and takes the exact lambda_min only of the splits
+    whose determinant bound,
     lambda_min >= det G / (tr G / (d-1))^(d-1) on each side, comes within
     the roundoff margin of `_reduce_over_splits` of the best exact value in
     its chunk; value and subset are bit-identical to scoring every split.

@@ -342,8 +342,8 @@ def test_11_cli_determinism(tmp_path, capsys):
             "optimize", "--m", "3", "--restarts", "8", "--seed", "11", "--json", out,
         ],
     }
-    # optimize and kernel take no --threads flag
-    threadless = {"optimize", "kernel"}
+    # optimize takes no --threads flag
+    threadless = {"optimize"}
     ok = True
     failures = []
     for tag, builder in commands.items():

@@ -336,6 +336,21 @@ class TestKernelCommand:
             b"0.0034337800940915054,0.6366197723675813\n"
         )
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_csv_is_identical_across_threads(self, tmp_path, capsys, field):
+        # the grid points run over the pool; each draws from its own stream
+        outputs = []
+        for threads in ("1", "2", "4"):
+            out_csv = tmp_path / f"k{threads}.csv"
+            code, out, _ = run_cli(
+                capsys, "kernel", "--field", field, "--grid", "5", "--mc-samples", "3001",
+                "--seed", "8", "--csv", str(out_csv), "--threads", threads,
+            )
+            assert code == 0
+            outputs.append(out_csv.read_bytes() + out.encode())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0].endswith(b"rows=5 flagged=0\n")
+
     def test_arg_floors_exit_2(self, capsys):
         assert run_cli(capsys, "kernel", "--field", "real", "--grid", "1")[0] == 2
         assert run_cli(capsys, "kernel", "--field", "real", "--mc-samples", "10")[0] == 2

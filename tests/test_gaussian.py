@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from prstab import (
     stream_rng,
     universal_lower_bound,
 )
-from prstab.gaussian import BM_CHUNK, _fold_angle
+from prstab.gaussian import BM_CHUNK, _cursor, _fold_angle
 
 THETAS = [k * np.pi / 12 for k in range(7)]
 
@@ -30,6 +31,19 @@ def box_muller_reference(gen, shape):
     radius = np.sqrt(-2.0 * np.log1p(-u1))
     z = np.concatenate([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)])
     return z[:n].reshape(shape)
+
+
+def mc_kernel_reference(field, theta, n, seed, stream=0):
+    """The unfused estimate: the whole (n, 2) sample matrix, then the kernel formula."""
+    gen = stream_rng(seed, stream)
+    A = box_muller_reference(gen, (n, 2))
+    if field is Field.COMPLEX:
+        A = (A + 1j * box_muller_reference(gen, (n, 2))) / np.sqrt(2.0)
+    t = _fold_angle(theta)
+    ax = A[:, 0]
+    ay = A[:, 0] * np.cos(t) + A[:, 1] * np.sin(t)
+    vals = np.abs(np.conj(ax) * ay)
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 
 
 def hypergeometric_series(theta):
@@ -206,6 +220,39 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             mc_kernel_expectation(Field.REAL, 0.1, 100, seed=0)
+        with pytest.raises(ValueError):
+            mc_kernel_expectation(Field.REAL, 0.1, 1000, seed=0, out=np.empty(1001))
+
+    @pytest.mark.parametrize("skip", range(10))
+    def test_cursor_starts_skip_draws_in(self, skip):
+        drawn = stream_rng(6, 2).random(skip + 9)
+        assert np.array_equal(_cursor(6, 2, skip).random(9), drawn[skip:])
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize(
+        "n", [1000, 1001, 1002, 1003, 2 * BM_CHUNK - 1, 2 * BM_CHUNK + 1, 10**5 + 3]
+    )
+    def test_fused_blocks_are_bit_identical(self, field, n):
+        # odd n puts one row across the cosine and sine halves; the blocks
+        # carry a sine half across their boundary
+        for i, t in enumerate([0.0, 0.9, np.pi / 2]):
+            ref = mc_kernel_reference(field, t, n, seed=13, stream=i)
+            assert mc_kernel_expectation(field, t, n, seed=13, stream=i) == ref
+            out = np.full(n, np.nan)
+            assert mc_kernel_expectation(field, t, n, seed=13, stream=i, out=out) == ref
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    def test_memory_is_one_sample_array(self, field):
+        # the n samples, which the standard error works on in place, plus
+        # cache-sized blocks; a second n-length array would exceed the bound
+        n = 10**6
+        tracemalloc.start()
+        try:
+            mc_kernel_expectation(field, 0.4, n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n
 
 
 class TestExperiment:
