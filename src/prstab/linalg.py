@@ -4,8 +4,8 @@ Matrices are plain numpy arrays of shape (m, d); the scalar field is carried
 by the dtype (float64 for the real field, complex128 for the complex field).
 Row i of a matrix is the i-th measurement functional, i.e. the map applies as
 ``A @ x`` and the i-th magnitude is ``abs((A @ x)[i])``.  Hermitian
-eigenproblems go through LAPACK (``numpy.linalg.eigvalsh``/``eigh``); the
-batched closed forms for 2x2 and 3x3 score row splits in bulk.
+eigenproblems go through LAPACK (``numpy.linalg.eigvalsh``/``eigh``); a
+batched 2x2 closed form scores row splits in bulk.
 """
 
 from __future__ import annotations
@@ -149,25 +149,3 @@ def lambda_min_2x2_batch(g: np.ndarray) -> np.ndarray:
     half = (g[..., 0] - g[..., 2]) / 2
     rad = np.sqrt(np.maximum(half * half + g[..., 1] ** 2, 0.0))
     return np.maximum((g[..., 0] + g[..., 2]) / 2 - rad, 0.0)
-
-
-def lambda_min_3x3_batch(g: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of many symmetric 3x3 matrices.
-
-    `g` has rows (g00, g11, g22, g01, g02, g12); trigonometric solution of
-    the characteristic cubic, clamped to [0, inf) for PSD inputs.
-    """
-    a, b, c = g[..., 0], g[..., 1], g[..., 2]
-    de, f, h = g[..., 3], g[..., 4], g[..., 5]
-    q = (a + b + c) / 3
-    p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2 * (de**2 + f**2 + h**2)
-    p = np.sqrt(np.maximum(p2 / 6, 0.0))
-    safe = p > 0
-    ps = np.where(safe, p, 1.0)
-    ba, bb, bc = (a - q) / ps, (b - q) / ps, (c - q) / ps
-    bd, bf, bh = de / ps, f / ps, h / ps
-    detB = ba * (bb * bc - bh * bh) - bd * (bd * bc - bh * bf) + bf * (bd * bh - bb * bf)
-    r = np.clip(detB / 2, -1.0, 1.0)
-    phi = np.arccos(r) / 3
-    lam = q + 2 * ps * np.cos(phi + 2 * np.pi / 3)
-    return np.maximum(np.where(safe, lam, q), 0.0)

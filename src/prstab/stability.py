@@ -38,7 +38,6 @@ from .linalg import (
     eigh_with_vectors,
     field_of,
     lambda_min_2x2_batch,
-    lambda_min_3x3_batch,
     phaseless_map,
     spectral_norm,
 )
@@ -52,6 +51,7 @@ PRUNE_MARGIN = 8  # bound pruning slack: PRUNE_MARGIN * d^2 * eps * ||A||_F^2
 D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
 D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
 PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
+POLL_BLOCK = 32  # _poll: iterations whose bases are drawn and factored at once
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
 ZERO_ROUNDOFF_FACTOR = 8  # d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
 
@@ -150,12 +150,17 @@ def _subset_gram_terms(A: np.ndarray) -> np.ndarray:
 
 
 def _lambda_min_batch(g: np.ndarray, d: int) -> np.ndarray:
+    """lambda_min, clamped at 0, of many Gram sums packed as by `_subset_gram_terms`.
+
+    d = 2 in closed form; d >= 3 by batched eigvalsh, d = 3 unpacked from
+    (g00, g11, g22, g01, g02, g12) to 3 x 3 first.
+    """
     if d == 1:
         return np.maximum(g[:, 0], 0.0)
     if d == 2:
         return lambda_min_2x2_batch(g)
     if d == 3:
-        return lambda_min_3x3_batch(g)
+        g = g[:, [0, 3, 4, 3, 1, 5, 4, 5, 2]]
     return np.maximum(np.linalg.eigvalsh(g.reshape(-1, d, d))[:, 0], 0.0)
 
 
@@ -245,11 +250,7 @@ def _reduce_over_splits(A: np.ndarray, combine, threads: int = 1) -> tuple[float
     error is at most d times the backward error of G/t times the product of
     the other eigenvalues, which AM-GM bounds by (d-1)^-(d-1).  The 2 x 2
     form and eigvalsh are backward stable, within about d eps t of the true
-    lambda_min.  The trigonometric 3 x 3 form is too, except where lambda_1
-    and lambda_2 nearly coincide, where it errs by up to about 1e-8 t; there
-    the bound is at most 4 lambda_1 lambda_2 / t <= lambda_1 / 2, and if that
-    error reaches lambda_1 / 2, then lambda_1 <= 2e-8 t and the bound is at
-    most 1.6e-15 t, inside the margin.  The traces of the two sides sum to
+    lambda_min.  The traces of the two sides sum to
     ||A||_F^2, and the combine rounds by at most 2 eps ||A||_F^2, so a
     factor of 2 d^2 + d + 2 suffices and 8 d^2 leaves room.  Measured on
     10^6 stressed Gram matrices (d = 2..8; coincident, clustered, singular
@@ -426,17 +427,19 @@ def _scale_step(p, r, q):
     """Values of (p - 2tq + t^2 r)/(1 + t^2) at t = 0, 1 and t*, and t*.
 
     The interior critical point solves q t^2 + (r - p) t - q = 0; t* is its
-    positive root in closed form, clamped to [0, 1] (0 where q = 0).
+    positive root in closed form, clamped to [0, 1] (0 where q = 0 and where
+    the root is NaN, 1 where it overflows).  Works on arrays and on scalars.
     """
-    disc = np.sqrt((p - r) ** 2 + 4 * q * q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = np.where(q > 0, ((p - r) + disc) / (2 * q), 0.0)
-    t_star = np.clip(np.nan_to_num(t_star), 0.0, 1.0)
-
-    def val(t):
-        return (p - 2 * t * q + t * t * r) / (1 + t * t)
-
-    return (p, val(1.0), val(t_star)), t_star
+    pr = p - r
+    disc = np.sqrt(pr * pr + 4 * q * q)
+    t_star = np.zeros_like(q)
+    np.divide(pr + disc, 2 * q, out=t_star, where=q > 0)
+    t_star = np.minimum(np.fmax(t_star, 0.0), 1.0)
+    tt = t_star * t_star
+    at_star = p - 2 * t_star * q
+    at_star += tt * r
+    at_star /= 1 + tt
+    return (p, (p - 2.0 * q + r) / 2.0, at_star), t_star
 
 
 def _min_over_scale(p: np.ndarray, r: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -453,10 +456,10 @@ def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.
     """
     AX = np.abs(A @ X)
     AU = np.abs(A @ U)
-    p = (AX**2).sum(axis=0)
-    r = (AU**2).sum(axis=0)
     q = (AX * AU).sum(axis=0)
-    return _min_over_scale(p, r, q)
+    AX *= AX
+    AU *= AU
+    return _min_over_scale(AX.sum(axis=0), AU.sum(axis=0), q)
 
 
 def _complex_d2_ratio(A: np.ndarray):
@@ -486,41 +489,105 @@ def _complex_d2_ratio(A: np.ndarray):
         c = np.stack([X[0] * U[0], X[0] * U[1] + X[1] * U[0], X[1] * U[1]])
         w = B @ np.concatenate([c.real, c.imag])
         w *= w
-        w = w[:m] + w[m:]
-        np.sqrt(w, out=w)
-        return _min_over_scale(form(X), form(U), ones @ w)
+        w_top = w[:m]
+        w_top += w[m:]
+        np.sqrt(w_top, out=w_top)
+        return _min_over_scale(form(X), form(U), ones @ w_top)
 
     return ratio
 
 
-def _orthonormalize_batch(Z: np.ndarray, d: int):
-    """Rows (x_raw | u_raw) -> unit x, unit u with <x, u> = 0; flags failures."""
-    X = Z[:, :d].copy()
-    U = Z[:, d:].copy()
-    nx = np.linalg.norm(X, axis=1)
+def _sum_rows(T: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 in the order np.sum takes along a contiguous axis of that length.
+
+    That order is numpy's pairwise summation.  With fewer entries than its 8
+    (real) or 4 (complex) accumulators it adds left to right.  Otherwise
+    accumulator k adds entries k, k + lanes, ..., the accumulators are
+    combined as a balanced tree and the remainder is added in order; above
+    128 scalars the two halves, split at a multiple of the lanes, are summed
+    separately.  So the columns of T get the bits that the rows of T.T get
+    from np.sum(axis=1), while every operation runs along the long axis.
+    Checked against np.sum in the tests for 1 to 300 entries.
+    """
+    n = T.shape[0]
+    lanes = 4 if np.iscomplexobj(T) else 8
+    if n < lanes:
+        res = T[0].copy()
+        for k in range(1, n):
+            res += T[k]
+        return res
+    if n * (8 // lanes) > 128:
+        half = n // 2 - (n // 2) % lanes
+        return _sum_rows(T[:half]) + _sum_rows(T[half:])
+    acc = T[:lanes].copy()
+    full = n - n % lanes
+    for i in range(lanes, full, lanes):
+        acc += T[i : i + lanes]
+    if lanes == 8:
+        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    else:
+        res = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for k in range(full, n):
+        res += T[k]
+    return res
+
+
+def _column_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X.T, axis=1), bit for bit: sqrt of the `_sum_rows` of |x|^2."""
+    return np.sqrt(_sum_rows((X.conj() * X).real))
+
+
+def _orthonormalize_batch(W: np.ndarray, d: int):
+    """Columns (x_raw ; u_raw) of W, (2d, cols) -> unit x, unit u with <x, u> = 0; flags failures.
+
+    X and U come back as (d, cols), column j orthonormalized from column j
+    of W.  A failed column is divided by 1.0 instead of its norm, which
+    leaves it unchanged, so no masked gather or scatter is needed.  Every
+    operation runs along the columns; the sums over the d entries of a
+    column take numpy's row-sum order (`_sum_rows`), so the bits are those
+    of normalizing the rows of W.T with np.linalg.norm and np.sum.
+    """
+    X0, U0 = W[:d], W[d:]
+    nx = _column_norms(X0)
     ok = nx > 1e-12
-    X[ok] /= nx[ok, None]
-    proj = np.sum(np.conj(X) * U, axis=1)
-    U = U - proj[:, None] * X
-    nu = np.linalg.norm(U, axis=1)
+    X = X0 / np.where(ok, nx, 1.0)
+    U = _sum_rows(X.conj() * U0) * X
+    np.subtract(U0, U, out=U)
+    nu = _column_norms(U)
     ok &= nu > 1e-12
-    U[ok] /= nu[ok, None]
+    U /= np.where(ok, nu, 1.0)
     return X, U, ok
 
 
 def _pair_objective(ratio, d: int):
-    """Squared pair ratio of raw (x_raw | u_raw) rows; inf where they degenerate.
+    """Squared pair ratio of raw (x_raw ; u_raw) columns; inf where they degenerate.
 
-    `ratio(X, U)` is the columnwise kernel of the matrix, d the row length.
+    `ratio(X, U)` is the columnwise kernel of the matrix, d the length of x.
     """
 
-    def objective(Z: np.ndarray) -> np.ndarray:
-        X, U, ok = _orthonormalize_batch(Z, d)
-        v = ratio(X.T, U.T)
-        v[~ok] = np.inf
-        return v
+    def objective(W: np.ndarray) -> np.ndarray:
+        X, U, ok = _orthonormalize_batch(W, d)
+        return np.where(ok, ratio(X, U), np.inf)
 
     return objective
+
+
+def _poll_directions(rng, iterations: int, sets: int, n: int, complex_states: bool):
+    """Poll directions of `iterations` consecutive `_poll` iterations, one block.
+
+    One rng.standard_normal((iterations * sets, n, n)) call and one stacked
+    QR: the same draws and the same bases, bit for bit, as `sets` separate
+    (n, n) draws and QRs per iteration.  Entry i is the (n, D) matrix of
+    iteration i's directions as columns: +Q and -Q of each basis in turn,
+    then i times all of those for complex states.
+    """
+    Q, _ = np.linalg.qr(rng.standard_normal((iterations * sets, n, n)))
+    Q = Q.reshape(iterations, sets, 1, n, n)
+    dirs = np.concatenate([Q, -Q], axis=2).transpose(0, 3, 1, 2, 4)
+    dirs = dirs.reshape(iterations, n, 2 * sets * n)
+    if complex_states:
+        dirs = np.concatenate([dirs, 1j * dirs], axis=2)
+    return dirs
 
 
 def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, keep=None):
@@ -531,7 +598,18 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, ke
     whose step is still above `hmin`.  A state moves to its best candidate
     when that improves its value and its step grows by `expand`; otherwise
     the step shrinks by `shrink`.  The objectives are non-smooth, so
-    randomized polling avoids coordinate-direction stalls.
+    randomized polling avoids coordinate-direction stalls.  `objective(C)`
+    scores the columns of C, shape (n, count): inside the search the states
+    and their candidates are columns, so each step runs along the long axis.
+    Candidates are ordered by state, then by direction.
+
+    The bases are drawn in blocks of up to POLL_BLOCK iterations, never past
+    `max_iter` (`_poll_directions`).  The generator state is saved before
+    each block; if the search stops inside one, the state is restored and
+    exactly the matrices of the iterations run are drawn again.  So the
+    search uses, and leaves `rng` where, one standard_normal((n, n)) draw per
+    basis per iteration would: callers that draw again afterwards see the
+    same numbers.
 
     With `keep` None every state runs until its step falls to `hmin`.  With
     `keep` = k only the k lowest values matter: any other state is dropped
@@ -544,45 +622,55 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, ke
     which states are live, so every state's path up to its stop is the same
     for every `keep`.
 
-    Returns (Z, vals, iterations, stop_reason, evaluations): stop_reason is
-    "budget" if a state is still live at `max_iter`, else "converged";
-    evaluations counts the objective's columns, the start included.
+    Returns (Z, vals, iterations, stop_reason, evaluations): Z has the
+    states as rows, like Z0; stop_reason is "budget" if a state is still
+    live at `max_iter`, else "converged"; evaluations counts the objective's
+    columns, the start included.
     """
-    Z = Z0.copy()
-    ns, n = Z.shape
+    ns, n = Z0.shape
+    Z = np.array(Z0.T, order="C")
     vals = objective(Z)
     evaluations = ns
     h = np.full(ns, h0)
     recent = deque([vals.copy()], maxlen=PACE_WINDOW + 1)
     it = 0
-    while it < max_iter and (h > hmin).any():
+    block, used, saved = (), 0, None
+    live = h > hmin
+    while it < max_iter and live.any():
+        if used == len(block):
+            saved = rng.bit_generator.state
+            block = _poll_directions(
+                rng, min(POLL_BLOCK, max_iter - it), sets, n, np.iscomplexobj(Z)
+            )
+            used = 0
+        dirs = block[used]
+        used += 1
         it += 1
-        blocks = []
-        for _ in range(sets):
-            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            blocks.extend([Q.T, -Q.T])
-        dirs = np.vstack(blocks)
-        if np.iscomplexobj(Z):
-            dirs = np.vstack([dirs, 1j * dirs])
-        act = np.flatnonzero(h > hmin)
-        cand = (Z[act, None, :] + h[act, None, None] * dirs[None, :, :]).reshape(-1, n)
-        v = objective(cand).reshape(len(act), -1)
-        evaluations += cand.shape[0]
+        act = np.flatnonzero(live)
+        cand = h[act, None] * dirs[:, None, :]
+        cand += Z[:, act, None]
+        v = objective(cand.reshape(n, -1)).reshape(len(act), -1)
+        evaluations += v.size
         kb = np.argmin(v, axis=1)
         vb = v[np.arange(len(act)), kb]
         impr = vb < vals[act] - 1e-15
         took = act[impr]
-        Z[took] = cand.reshape(len(act), -1, n)[impr, kb[impr]]
+        Z[:, took] = cand[:, impr, kb[impr]]
         vals[took] = vb[impr]
         h[took] *= expand
         h[act[~impr]] *= shrink
         if keep is not None:
             recent.append(vals.copy())
             if len(recent) > PACE_WINDOW:
-                target = np.sort(vals)[keep - 1]
+                target = np.partition(vals, keep - 1)[keep - 1]
                 reach = (recent[0] - vals) / PACE_WINDOW * (max_iter - it)
                 h[vals - reach > target] = 0.0
-    return Z, vals, it, "budget" if (h > hmin).any() else "converged", evaluations
+        live = h > hmin
+    if used < len(block):
+        rng.bit_generator.state = saved
+        rng.standard_normal((used * sets, n, n))
+    stop = "budget" if live.any() else "converged"
+    return np.ascontiguousarray(Z.T), vals, it, stop, evaluations
 
 
 def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
@@ -621,8 +709,8 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator):
         keep=1,
     )
     k = int(np.argmin(v2))
-    X, U, _ = _orthonormalize_batch(Z[k : k + 1], 2)
-    return X[0], U[0], it, stop, cols + evaluations
+    X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, 2)
+    return X[:, 0], U[:, 0], it, stop, cols + evaluations
 
 
 def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -731,8 +819,8 @@ def lower_lipschitz_numeric(
         )
         k = int(np.argmin(vals))
         # coordinate seeds start finite and only improve: the best state is not degenerate
-        X, U, _ = _orthonormalize_batch(Z[k : k + 1], d)
-        best_x, best_u = X[0], U[0]
+        X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, d)
+        best_x, best_u = X[:, 0], U[:, 0]
     AX, AU = np.abs(A @ best_x), np.abs(A @ best_u)
     values, t_star = _scale_step(*(float(v.sum()) for v in (AX**2, AU**2, AX * AU)))
     y = (0.0, 1.0, float(t_star))[int(np.argmin(values))] * best_u  # ties: 0, then 1, then t*
@@ -868,11 +956,12 @@ def optimize_frame_r2(
         raise ValueError("restarts must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(202,)))
 
-    def joint(P):
-        return _frame_beta_batch(_frames_from_params(P, m))
+    # _poll scores columns; the frame builders take (and reduce along) rows
+    def joint(C):
+        return _frame_beta_batch(_frames_from_params(np.ascontiguousarray(C.T), m))
 
-    def angles_only(P):
-        return _frame_beta_batch(_frames_angles_only(P, m))
+    def angles_only(C):
+        return _frame_beta_batch(_frames_angles_only(np.ascontiguousarray(C.T), m))
 
     P_joint = np.concatenate(
         [

@@ -15,7 +15,6 @@ from prstab.linalg import (
     as_matrix,
     eigh_with_vectors,
     lambda_min_2x2_batch,
-    lambda_min_3x3_batch,
     top_right_singular_vector,
 )
 
@@ -194,15 +193,6 @@ class TestBatchClosedForms:
         M = np.einsum("nij,nkj->nik", B, B)
         packed = np.stack([M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]], axis=1)
         assert np.allclose(lambda_min_2x2_batch(packed), np.linalg.eigvalsh(M)[:, 0], atol=1e-12)
-
-    def test_lambda_min_3x3(self):
-        rng = np.random.default_rng(9)
-        B = rng.standard_normal((100, 3, 3))
-        M = np.einsum("nij,nkj->nik", B, B)
-        packed = np.stack(
-            [M[:, 0, 0], M[:, 1, 1], M[:, 2, 2], M[:, 0, 1], M[:, 0, 2], M[:, 1, 2]], axis=1
-        )
-        assert np.allclose(lambda_min_3x3_batch(packed), np.linalg.eigvalsh(M)[:, 0], atol=1e-11)
 
 
 class TestAsMatrix:

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,15 @@ from prstab import (
     universal_lower_bound,
     upper_lipschitz,
 )
+from prstab.gaussian import GaussianExperiment, gaussian_beta_experiment
 from prstab.linalg import GRAM_LIMIT
 from prstab.stability import (
     ENUM_CHUNK,
     ENUM_CHUNK_BITS,
     METHOD_EXACT,
     METHOD_NUMERIC,
+    PACE_WINDOW,
+    POLL_BLOCK,
     PRUNE_PROBES,
     ZERO_ROUNDOFF_FACTOR,
     EnumerationCapError,
@@ -41,8 +46,10 @@ from prstab.stability import (
     _poll,
     _ratio_sq_min_over_scale,
     _reduce_over_splits,
+    _scale_step,
     _subset_gram_terms,
     _subset_sums,
+    _sum_rows,
 )
 from prstab.linalg import lambda_min_2x2_batch
 from prstab.workers import chunk_ranges
@@ -251,6 +258,38 @@ class TestExactLowerHigherDim:
         assert abs(val**2 - ref**2) <= 1e-12 * upper_lipschitz(A) ** 2
         assert abs(split_value(A, subset) - val**2) <= 1e-12 * upper_lipschitz(A) ** 2
         assert abs(split_bound(A) - brute_force_split_bound(A)) < 1e-10
+
+
+class TestExactD3NearlyEqualEigenvalues:
+    """Exact d = 3 where the two smallest Gram eigenvalues nearly coincide below a large third.
+
+    The tolerance is the enumeration's roundoff margin, 8 d^2 eps ||A||_F^2.
+    """
+
+    def test_clustered_rows_match_brute_force(self):
+        # a trigonometric 3 x 3 closed form gave L^2 = 1.23e-7 here, 11x too high
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        g, g2 = rng.standard_normal(3), rng.standard_normal(3)
+        A = np.array(
+            [10 * q[:, 2], 1e-3 * q[:, 0], 1e-3 * q[:, 1], 10 * q[:, 2] + 1e-3 * g, 1e-3 * g2]
+        )
+        tol = 8 * 9 * np.finfo(float).eps * np.sum(A * A)
+        val, subset = lower_lipschitz_exact_real(A)
+        ref, _ = brute_force_lower(A)
+        assert ref**2 < 2e-8
+        assert abs(val**2 - ref**2) <= tol
+        assert abs(split_value(A, subset) - val**2) <= tol
+
+    def test_rotated_diagonal_gram(self):
+        # diag(1e-6, 1e-6, 100) rotated: a trigonometric closed form returned 7.13e-7
+        rng = np.random.default_rng(4)
+        tol = 8 * 9 * np.finfo(float).eps * 100.0
+        for _ in range(200):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            M = q @ np.diag([1e-6, 1e-6, 100.0]) @ q.T
+            packed = M[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+            assert abs(_lambda_min_batch(packed[None], 3)[0] - 1e-6) <= tol
 
 
 def unpruned_split_min(A):
@@ -486,9 +525,9 @@ class TestComplexD2Kernel:
     @staticmethod
     def random_pairs(rng, n=64):
         Z = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        X, U, ok = _orthonormalize_batch(Z, 2)
+        X, U, ok = _orthonormalize_batch(Z.T, 2)
         assert ok.all()
-        return X.T, U.T
+        return X, U
 
     @staticmethod
     def complex_rows(rng, m):
@@ -643,6 +682,230 @@ class TestPollStopRule:
         (_, v_all, it_all, _, _), (_, v_best, it_best, _, _) = runs
         assert v_best.min() == pytest.approx(v_all.min(), rel=1e-11, abs=0)
         assert it_best <= it_all
+
+
+def orthonormalize_rows(Z, d):
+    """Oracle: the pair orthonormalization on rows, with masked division."""
+    X = Z[:, :d].copy()
+    U = Z[:, d:].copy()
+    nx = np.linalg.norm(X, axis=1)
+    ok = nx > 1e-12
+    X[ok] /= nx[ok, None]
+    proj = np.sum(np.conj(X) * U, axis=1)
+    U = U - proj[:, None] * X
+    nu = np.linalg.norm(U, axis=1)
+    ok &= nu > 1e-12
+    U[ok] /= nu[ok, None]
+    return X, U, ok
+
+
+def scale_step_reference(p, r, q):
+    """Oracle: `_scale_step` through np.where, nan_to_num and clip."""
+    disc = np.sqrt((p - r) ** 2 + 4 * q * q)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_star = np.where(q > 0, ((p - r) + disc) / (2 * q), 0.0)
+    t_star = np.clip(np.nan_to_num(t_star), 0.0, 1.0)
+
+    def val(t):
+        return (p - 2 * t * q + t * t * r) / (1 + t * t)
+
+    return (p, val(1.0), val(t_star)), t_star
+
+
+def poll_per_iteration(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, keep=None):
+    """Oracle: `_poll` with one (n, n) draw and one QR per basis per iteration, states as rows.
+
+    The objective still scores columns, so candidates are handed over transposed.
+    """
+    Z = Z0.copy()
+    ns, n = Z.shape
+    vals = objective(np.ascontiguousarray(Z.T))
+    evaluations = ns
+    h = np.full(ns, h0)
+    recent = deque([vals.copy()], maxlen=PACE_WINDOW + 1)
+    it = 0
+    while it < max_iter and (h > hmin).any():
+        it += 1
+        blocks = []
+        for _ in range(sets):
+            Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            blocks.extend([Q.T, -Q.T])
+        dirs = np.vstack(blocks)
+        if np.iscomplexobj(Z):
+            dirs = np.vstack([dirs, 1j * dirs])
+        act = np.flatnonzero(h > hmin)
+        cand = (Z[act, None, :] + h[act, None, None] * dirs[None, :, :]).reshape(-1, n)
+        v = objective(np.ascontiguousarray(cand.T)).reshape(len(act), -1)
+        evaluations += cand.shape[0]
+        kb = np.argmin(v, axis=1)
+        vb = v[np.arange(len(act)), kb]
+        impr = vb < vals[act] - 1e-15
+        took = act[impr]
+        Z[took] = cand.reshape(len(act), -1, n)[impr, kb[impr]]
+        vals[took] = vb[impr]
+        h[took] *= expand
+        h[act[~impr]] *= shrink
+        if keep is not None:
+            recent.append(vals.copy())
+            if len(recent) > PACE_WINDOW:
+                target = np.sort(vals)[keep - 1]
+                reach = (recent[0] - vals) / PACE_WINDOW * (max_iter - it)
+                h[vals - reach > target] = 0.0
+    return Z, vals, it, "budget" if (h > hmin).any() else "converged", evaluations
+
+
+def raw_pairs(rng, count, d, complex_field):
+    """Random (x_raw | u_raw) rows with zero, tiny, parallel and exactly orthogonal ones."""
+    Z = rng.standard_normal((count, 2 * d)) * 10.0 ** rng.uniform(-6, 6, (count, 1))
+    if complex_field:
+        Z = Z + 1j * rng.standard_normal((count, 2 * d))
+    Z[0] = 0.0
+    Z[1, :d] = 1e-13
+    Z[2, d:] = (0.5 - 2j if complex_field else -3.0) * Z[2, :d]
+    Z[3, :d] = 0.0
+    Z[3, 0] = 1.0
+    Z[3, d:] = 0.0
+    Z[3, d + min(1, d - 1)] = 1.0
+    Z[4, d:] = 0.0
+    return Z
+
+
+class TestPollKernels:
+    """The column-layout pair kernels against their row-layout oracles, bit for bit."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_sum_rows_is_numpy_row_sum_order(self, complex_field):
+        rng = np.random.default_rng(31)
+        for n in [*range(1, 40), 63, 64, 65, 66, 127, 128, 129, 130, 257, 300]:
+            T = rng.standard_normal((n, 50)) * 10.0 ** rng.uniform(-8, 8, (n, 50))
+            if complex_field:
+                T = T + 1j * rng.standard_normal((n, 50))
+            assert _sum_rows(T).tobytes() == np.ascontiguousarray(T.T).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8, 9, 17, 70, 130])
+    def test_orthonormalize_matches_rows(self, d, complex_field):
+        Z = raw_pairs(np.random.default_rng(d), 200, d, complex_field)
+        X, U, ok = _orthonormalize_batch(Z.T, d)
+        X_ref, U_ref, ok_ref = orthonormalize_rows(Z, d)
+        assert not ok_ref.all() and (ok_ref.any() or d == 1)
+        assert np.array_equal(ok, ok_ref)
+        assert X.T.tobytes() == X_ref.tobytes() and U.T.tobytes() == U_ref.tobytes()
+
+    def test_scale_step_matches_reference(self):
+        rng = np.random.default_rng(32)
+        p, r, q = np.abs(rng.standard_normal((3, 4000))) * 10.0 ** rng.uniform(-300, 300, (3, 4000))
+        q[:400] = 0.0
+        r[400:800] = p[400:800]
+        q[800:900] = 5e-324
+        p[900:1000], r[900:1000] = 1.0, 0.0
+        q[1000:1010] = np.nan
+        p[1010:1020] = np.inf
+        r[1020:1030] = np.inf  # t* = (-inf + inf) / 2q is NaN: clamped to 0
+        with np.errstate(all="ignore"):
+            (a0, a1, a2), t = _scale_step(p, r, q)
+            (b0, b1, b2), t_ref = scale_step_reference(p, r, q)
+        assert np.all(t[1020:1030] == 0.0)
+        for got, ref in ((a0, b0), (a1, b1), (a2, b2), (t, t_ref)):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+        for k in range(0, 1030, 7):
+            with np.errstate(all="ignore"):
+                (c0, c1, c2), tc = _scale_step(float(p[k]), float(r[k]), float(q[k]))
+            got = np.array([c0, c1, c2, tc], dtype=float)
+            ref = np.array([a0[k], a1[k], a2[k], t[k]])
+            assert np.array_equal(got, ref, equal_nan=True)
+
+
+class TestPollBlockDraws:
+    """`_poll` with block-drawn bases against the per-iteration draws, bit for bit."""
+
+    @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+    @pytest.mark.parametrize("sets", [1, 2])
+    @pytest.mark.parametrize("keep", [None, 1])
+    @pytest.mark.parametrize(
+        "max_iter", [1, POLL_BLOCK - 1, POLL_BLOCK, POLL_BLOCK + 1, 3 * POLL_BLOCK + 5]
+    )
+    def test_matches_per_iteration_draws(self, field, sets, keep, max_iter):
+        A = sample_gaussian_matrix(9, 3, field, seed=5)
+        objective = _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), 3)
+        Z0 = raw_pairs(np.random.default_rng(6), 10, 3, field is Field.COMPLEX)[5:]
+        kwargs = dict(h0=0.5, hmin=1e-6, max_iter=max_iter, shrink=0.5, sets=sets, keep=keep)
+        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        Z, vals, *rest = _poll(objective, Z0, rng, **kwargs)
+        Z_ref, vals_ref, *rest_ref = poll_per_iteration(objective, Z0, rng_ref, **kwargs)
+        assert Z.tobytes() == Z_ref.tobytes() and vals.tobytes() == vals_ref.tobytes()
+        assert rest == rest_ref
+        assert rng.standard_normal(3).tobytes() == rng_ref.standard_normal(3).tobytes()
+        iterations, stop_reason, _ = rest
+        if keep is None:
+            # some state is still live at every cap: the last block ends at the budget
+            assert (iterations, stop_reason) == (max_iter, "budget")
+        elif max_iter == 3 * POLL_BLOCK + 5:
+            # converged inside a block: the generator was rewound and redrawn
+            assert stop_reason == "converged" and iterations % POLL_BLOCK != 0
+
+    def test_no_iteration_draws_nothing(self):
+        objective = _pair_objective(lambda X, U: _ratio_sq_min_over_scale(np.eye(3), X, U), 3)
+        Z0 = np.random.default_rng(7).standard_normal((4, 6))
+        rng, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
+        out = _poll(objective, Z0, rng, h0=1e-9, hmin=1e-6, max_iter=10, shrink=0.5)
+        assert out[2:] == (0, "converged", 4)
+        assert rng.standard_normal() == rng_ref.standard_normal()
+
+
+class TestPollCallerPins:
+    """Seeded results of the three `_poll` callers, pinned exactly.
+
+    Recorded with one basis draw and one QR per iteration and with the
+    row-layout pair objective; drawing the bases in blocks and scoring the
+    pairs as columns keep every bit of them.
+    """
+
+    @pytest.mark.parametrize(
+        "m, d, field, restarts, seed, lower, iterations, evaluations",
+        [
+            (12, 4, Field.REAL, 128, 11, 0.5138053766180013, 487, 136172),
+            (16, 3, Field.COMPLEX, 32, 12, 0.6422409645289621, 2241, 114230),
+            (10, 2, Field.COMPLEX, 32, 13, 0.7645828407966997, 51, 17404),
+        ],
+    )
+    def test_numeric_analyze(self, m, d, field, restarts, seed, lower, iterations, evaluations):
+        A = sample_gaussian_matrix(m, d, field, seed=seed)
+        rep = condition_number(A, METHOD_NUMERIC, restarts=restarts, seed=seed)
+        cert = rep.lower_certificate
+        assert rep.lower == lower
+        assert (cert.iterations, cert.evaluations, cert.stop_reason) == (
+            iterations,
+            evaluations,
+            "converged",
+        )
+
+    def test_frame_optimizer(self):
+        # optimize --m 5 --restarts 24: three polls, with draws between them
+        frame, beta = optimize_frame_r2(5, restarts=24, seed=0)
+        assert beta == 1.6836200145571443
+        assert frame.radii.tolist() == [
+            0.999996523784366,
+            0.9999982396650435,
+            0.9999996119299341,
+            1.0000032363508555,
+            1.0000023882540452,
+        ]
+        assert frame.angles.tolist() == [
+            0.0,
+            1.8849538906973706,
+            1.2566383170165527,
+            2.513274452987824,
+            0.628317033286654,
+        ]
+
+    def test_gaussian_complex_d2_cell(self):
+        cfg = GaussianExperiment(field=Field.COMPLEX, d=2, m_values=(50,), trials=1, seed=5)
+        assert gaussian_beta_experiment(cfg)[0].lower == 2.1419455240541456
+        A = sample_gaussian_matrix(50, 2, Field.COMPLEX, 5, stream=0)
+        lower, cert = lower_lipschitz_numeric(A, restarts=cfg.restarts, seed=5 + 7919)
+        assert lower == 2.1419455240541456
+        assert (cert.iterations, cert.evaluations, cert.stop_reason) == (54, 15276, "converged")
 
 
 class TestConditionNumber:
