@@ -18,7 +18,9 @@ on Gaussian matrices of 16 to 21 rows 0.1-5% of the splits get an exact
 lambda_min.  Complex d = 2 searches an angle grid and then polls, both
 through one ratio kernel built per matrix: the squared moduli come from the
 2 x 2 Gram, the cross term from one real (2m x 6) product per batch of
-pairs.  The upper constant is always the spectral norm.  Also provides the
+pairs.  The pair search accepts a move only when it gains more than the
+matrix's roundoff scale eps * ||A||_F^2, so its results scale with A.  The
+upper constant is always the spectral norm.  Also provides the
 universal condition-number floors and a derivative-free optimizer probing
 the best m x 2 real frame.
 """
@@ -53,7 +55,7 @@ D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
 PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
 POLL_BLOCK = 32  # _poll: iterations whose bases are drawn and factored at once
 ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
-ZERO_ROUNDOFF_FACTOR = 8  # d = 2: L^2 <= factor * eps * ||A||_F^2 is reported as L = 0
+ZERO_ROUNDOFF_FACTOR = 8  # L^2 <= factor * eps * ||A||_F^2 is reported as L = 0: `_below_roundoff`
 
 METHOD_EXACT = "exact_real_subset"
 METHOD_NUMERIC = "numeric_orth_pair"
@@ -305,8 +307,9 @@ def _below_roundoff(lower_sq, fro_sq):
     """Whether L^2 is at most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, zero to roundoff.
 
     That is the roundoff of the d = 2 split sums and their closed-form
-    lambda_min, and of the complex d = 2 ratio kernel, so such a lower
-    constant is reported as 0 (beta = inf).
+    lambda_min, and of the pair kernels' sums over the rows, so such a lower
+    constant is reported as 0 (beta = inf) by the exact d = 2 route and by
+    the numeric route for every d.
     """
     return lower_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * fro_sq
 
@@ -497,63 +500,22 @@ def _complex_d2_ratio(A: np.ndarray):
     return ratio
 
 
-def _sum_rows(T: np.ndarray) -> np.ndarray:
-    """Sum over axis 0 in the order np.sum takes along a contiguous axis of that length.
-
-    That order is numpy's pairwise summation.  With fewer entries than its 8
-    (real) or 4 (complex) accumulators it adds left to right.  Otherwise
-    accumulator k adds entries k, k + lanes, ..., the accumulators are
-    combined as a balanced tree and the remainder is added in order; above
-    128 scalars the two halves, split at a multiple of the lanes, are summed
-    separately.  So the columns of T get the bits that the rows of T.T get
-    from np.sum(axis=1), while every operation runs along the long axis.
-    Checked against np.sum in the tests for 1 to 300 entries.
-    """
-    n = T.shape[0]
-    lanes = 4 if np.iscomplexobj(T) else 8
-    if n < lanes:
-        res = T[0].copy()
-        for k in range(1, n):
-            res += T[k]
-        return res
-    if n * (8 // lanes) > 128:
-        half = n // 2 - (n // 2) % lanes
-        return _sum_rows(T[:half]) + _sum_rows(T[half:])
-    acc = T[:lanes].copy()
-    full = n - n % lanes
-    for i in range(lanes, full, lanes):
-        acc += T[i : i + lanes]
-    if lanes == 8:
-        res = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    else:
-        res = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for k in range(full, n):
-        res += T[k]
-    return res
-
-
-def _column_norms(X: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(X.T, axis=1), bit for bit: sqrt of the `_sum_rows` of |x|^2."""
-    return np.sqrt(_sum_rows((X.conj() * X).real))
-
-
 def _orthonormalize_batch(W: np.ndarray, d: int):
     """Columns (x_raw ; u_raw) of W, (2d, cols) -> unit x, unit u with <x, u> = 0; flags failures.
 
     X and U come back as (d, cols), column j orthonormalized from column j
     of W.  A failed column is divided by 1.0 instead of its norm, which
     leaves it unchanged, so no masked gather or scatter is needed.  Every
-    operation runs along the columns; the sums over the d entries of a
-    column take numpy's row-sum order (`_sum_rows`), so the bits are those
-    of normalizing the rows of W.T with np.linalg.norm and np.sum.
+    operation runs along the columns, and the sums over the d entries of a
+    column are plain numpy reductions over axis 0.
     """
     X0, U0 = W[:d], W[d:]
-    nx = _column_norms(X0)
+    nx = np.linalg.norm(X0, axis=0)
     ok = nx > 1e-12
     X = X0 / np.where(ok, nx, 1.0)
-    U = _sum_rows(X.conj() * U0) * X
+    U = (X.conj() * U0).sum(axis=0) * X
     np.subtract(U0, U, out=U)
-    nu = _column_norms(U)
+    nu = np.linalg.norm(U, axis=0)
     ok &= nu > 1e-12
     U /= np.where(ok, nu, 1.0)
     return X, U, ok
@@ -590,14 +552,18 @@ def _poll_directions(rng, iterations: int, sets: int, n: int, complex_states: bo
     return dirs
 
 
-def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, keep=None):
+def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, min_gain, expand=1.0, sets=1, keep=None):
     """Batched randomized pattern search, one state per row of Z0.
 
     Each iteration polls +/- the columns of `sets` random orthonormal bases
     (and i times those directions for complex states) around every state
     whose step is still above `hmin`.  A state moves to its best candidate
-    when that improves its value and its step grows by `expand`; otherwise
-    the step shrinks by `shrink`.  The objectives are non-smooth, so
+    when that lowers its value by more than `min_gain`, and its step grows
+    by `expand`; otherwise the step shrinks by `shrink`.  `min_gain` is in
+    the objective's units: the pair searches pass their matrix's roundoff
+    scale eps * ||A||_F^2, which scales with the objective, and the frame
+    optimizer, whose objective beta has no units, passes 1e-15.  The
+    objectives are non-smooth, so
     randomized polling avoids coordinate-direction stalls.  `objective(C)`
     scores the columns of C, shape (n, count): inside the search the states
     and their candidates are columns, so each step runs along the long axis.
@@ -653,7 +619,7 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, expand=1.0, sets=1, ke
         evaluations += v.size
         kb = np.argmin(v, axis=1)
         vb = v[np.arange(len(act)), kb]
-        impr = vb < vals[act] - 1e-15
+        impr = vb < vals[act] - min_gain
         took = act[impr]
         Z[:, took] = cand[:, impr, kb[impr]]
         vals[took] = vb[impr]
@@ -681,9 +647,11 @@ def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
     return X, U
 
 
-def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator):
-    m = A.shape[0]
-    ratio = _complex_d2_ratio(A)
+def _complex_d2_grid_seeds(ratio, m: int) -> tuple[np.ndarray, int]:
+    """Search starts for complex d = 2: the 12 best pairs of a D2_GRID x 2*D2_GRID angle grid.
+
+    Returns the starts as (x ; u) rows and the number of grid pairs scored.
+    """
     th = np.linspace(0.0, np.pi / 2, D2_GRID)
     ga = np.linspace(0.0, 2 * np.pi, 2 * D2_GRID, endpoint=False)
     T, G = np.meshgrid(th, ga, indexing="ij")
@@ -696,21 +664,7 @@ def _numeric_lower_d2_complex(A: np.ndarray, rng: np.random.Generator):
         vals[lo:hi] = ratio(*_pairs_complex_d2(tt[lo:hi], gg[lo:hi]))
     seeds = np.argsort(vals)[:12]
     X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
-    Z0 = np.concatenate([X0.T, U0.T], axis=1)
-    Z, v2, it, stop, evaluations = _poll(
-        _pair_objective(ratio, 2),
-        Z0,
-        rng,
-        h0=0.1,
-        hmin=1e-9,
-        max_iter=2500,
-        shrink=0.5,
-        expand=1.0,
-        keep=1,
-    )
-    k = int(np.argmin(v2))
-    X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, 2)
-    return X[:, 0], U[:, 0], it, stop, cols + evaluations
+    return np.concatenate([X0.T, U0.T], axis=1), cols
 
 
 def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -742,42 +696,38 @@ def lower_lipschitz_numeric(
 
     Searches pairs (x, u) with ||x|| = 1, ||u|| = 1, <x, u> = 0 and resolves
     the scale of y = t*u in closed form; the returned value is always an
-    upper bound on the true optimal lower constant.  Real d = 2 needs no
-    search: the value is the exact one from the quarter windows, and the pair
-    comes from the lambda_min eigenvectors of the best split (stop_reason
-    "closed_form", as for d = 1).  Complex d = 2 seeds the pattern search
-    from a dense angle grid, and both score pairs with the kernel of
-    `_complex_d2_ratio`, one real (2m x 6) product per batch of pairs; a
-    value below that kernel's roundoff (`_below_roundoff`) is reported as 0.
-    Higher d uses random orthonormal restarts plus pattern search over
-    `_ratio_sq_min_over_scale`.  Only the best state is returned, so both
-    searches end once it has converged and the other restarts have either
-    converged or fallen too far behind to catch it in the iterations left
-    (stop_reason "converged"), or at `max_iters` ("budget"); the
-    certificate counts the pair-objective columns scored, the grid included.
+    upper bound on the true optimal lower constant.  d = 1 and real d = 2
+    need no search (stop_reason "closed_form"): d = 1 has the one pair
+    (x, 0), and real d = 2 takes the exact value from the quarter windows
+    and the pair from the lambda_min eigenvectors of the best split.
+    Otherwise one pattern search runs; only its seeding differs.  Complex
+    d = 2 starts from the 12 best pairs of a dense angle grid, scored like
+    the search with the kernel of `_complex_d2_ratio`, one real (2m x 6)
+    product per batch of pairs; d >= 3 starts from `restarts` random pairs
+    and the coordinate pairs, scored by `_ratio_sq_min_over_scale`.  A move
+    must gain more than the roundoff scale eps * ||A||_F^2, so the search
+    of c*A takes the steps of the search of A, up to roundoff (exactly
+    when c is a power of 2), and reports |c| times its value.  A value
+    below roundoff (`_below_roundoff`) is reported as 0.  Only the best
+    state is returned, so the search ends once it has converged and the
+    other restarts have either converged or fallen too far behind to catch
+    it in the iterations left (stop_reason "converged"), or at `max_iters`
+    ("budget"); the certificate counts the pair-objective columns scored,
+    the grid included.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     m, d = A.shape
-    if d == 1:
-        # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
-        x = np.ones(1, dtype=A.dtype)
-        y = np.zeros(1, dtype=A.dtype)
-        ratio = float(np.linalg.norm(phaseless_map(A, x)))
-        return ratio, PairCertificate(
-            x=x,
-            y=y,
-            ratio=ratio,
-            iterations=0,
-            evaluations=0,
-            restarts=restarts,
-            stop_reason="closed_form",
-        )
-    if d == 2 and field_of(A) is Field.REAL:
-        lower_sq, _, split = _lower_exact_windows(A[None])
-        lower = float(np.sqrt(lower_sq[0]))
-        x, y = _pair_from_split(A, split(0))
+    cplx = field_of(A) is Field.COMPLEX
+    if d == 1 or (d == 2 and not cplx):
+        if d == 1:
+            # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
+            x, y = np.ones(1, dtype=A.dtype), np.zeros(1, dtype=A.dtype)
+        else:
+            lower_sq, _, split = _lower_exact_windows(A[None])
+            x, y = _pair_from_split(A, split(0))
         ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
+        lower = ratio if d == 1 else float(np.sqrt(lower_sq[0]))
         return lower, PairCertificate(
             x=x,
             y=y,
@@ -787,55 +737,57 @@ def lower_lipschitz_numeric(
             restarts=restarts,
             stop_reason="closed_form",
         )
+    fro_sq = np.linalg.norm(A) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     if d == 2:
-        best_x, best_u, iterations, stop, evaluations = _numeric_lower_d2_complex(A, rng)
+        ratio_kernel = _complex_d2_ratio(A)
+        Z0, grid = _complex_d2_grid_seeds(ratio_kernel, m)
+        h0, hmin = 0.1, 1e-9
     else:
-        cplx = field_of(A) is Field.COMPLEX
         n = 2 * d
         Z0 = rng.standard_normal((restarts, n))
         if cplx:
             Z0 = Z0 + 1j * rng.standard_normal((restarts, n))
-        # coordinate pairs are cheap, deterministic extra seeds
-        extra = []
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    z = np.zeros(n, dtype=complex if cplx else float)
-                    z[i] = 1.0
-                    z[d + j] = 1.0
-                    extra.append(z)
-        Z0 = np.vstack([Z0] + [np.array(extra)]) if extra else Z0
-        Z, vals, iterations, stop, evaluations = _poll(
-            _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), d),
-            Z0,
-            rng,
-            h0=0.5,
-            hmin=tol * 1e-2,
-            max_iter=max_iters,
-            shrink=0.5,
-            expand=1.0,
-            keep=1,
-        )
-        k = int(np.argmin(vals))
-        # coordinate seeds start finite and only improve: the best state is not degenerate
-        X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, d)
-        best_x, best_u = X[:, 0], U[:, 0]
+        # coordinate pairs (e_i ; e_j), i != j, are cheap, deterministic extra seeds
+        i, j = np.nonzero(~np.eye(d, dtype=bool))
+        coord = np.zeros((i.size, n), dtype=Z0.dtype)
+        coord[np.arange(i.size), i] = 1.0
+        coord[np.arange(i.size), d + j] = 1.0
+        Z0 = np.vstack([Z0, coord])
+
+        def ratio_kernel(X, U):
+            return _ratio_sq_min_over_scale(A, X, U)
+
+        h0, hmin, grid = 0.5, tol * 1e-2, 0
+    Z, vals, iterations, stop, evaluations = _poll(
+        _pair_objective(ratio_kernel, d),
+        Z0,
+        rng,
+        h0=h0,
+        hmin=hmin,
+        max_iter=max_iters,
+        shrink=0.5,
+        min_gain=np.finfo(float).eps * fro_sq,
+        keep=1,
+    )
+    k = int(np.argmin(vals))
+    # grid and coordinate seeds start finite and only improve: the best state is not degenerate
+    X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, d)
+    best_x, best_u = X[:, 0], U[:, 0]
     AX, AU = np.abs(A @ best_x), np.abs(A @ best_u)
     values, t_star = _scale_step(*(float(v.sum()) for v in (AX**2, AU**2, AX * AU)))
     y = (0.0, 1.0, float(t_star))[int(np.argmin(values))] * best_u  # ties: 0, then 1, then t*
-    denom = dist(best_x, y)
-    ratio = float(np.linalg.norm(phaseless_map(A, best_x) - phaseless_map(A, y)) / denom)
+    ratio = float(np.linalg.norm(phaseless_map(A, best_x) - phaseless_map(A, y)) / dist(best_x, y))
     cert = PairCertificate(
         x=best_x,
         y=y,
         ratio=ratio,
         iterations=iterations,
-        evaluations=evaluations,
+        evaluations=grid + evaluations,
         restarts=restarts,
         stop_reason=stop,
     )
-    if d == 2 and _below_roundoff(ratio**2, np.linalg.norm(A) ** 2):
+    if _below_roundoff(ratio**2, fro_sq):
         return 0.0, cert
     return ratio, cert
 
@@ -971,12 +923,12 @@ def optimize_frame_r2(
         axis=1,
     )
     P_joint, v_joint, _, _, _ = _poll(
-        joint, P_joint, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
+        joint, P_joint, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6, min_gain=1e-15
     )
 
     P_ang = rng.uniform(0, np.pi, (restarts, m - 1))
     P_ang, v_ang, _, _, _ = _poll(
-        angles_only, P_ang, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6
+        angles_only, P_ang, rng, h0=0.6, hmin=1e-5, max_iter=budget, shrink=0.6, min_gain=1e-15
     )
     P_ang_full = np.concatenate([P_ang, np.ones((P_ang.shape[0], m))], axis=1)
 
@@ -991,6 +943,7 @@ def optimize_frame_r2(
         hmin=1e-12,
         max_iter=int(1.5 * budget),
         shrink=0.65,
+        min_gain=1e-15,
         expand=1.8,
         sets=2,
     )

@@ -181,14 +181,39 @@ class TestAnalyze:
         pair = json.loads(out)["certificate"]["pair"]
         # restarts that cannot catch the best state are dropped, so the
         # search converges well before its 4000-iteration budget
-        assert pair["iterations"] == 84 and pair["stop_reason"] == "converged"
-        assert pair["evaluations"] == 8582
+        assert pair["iterations"] == 80 and pair["stop_reason"] == "converged"
+        assert pair["evaluations"] == 8258
         write_matrix(path, harmonic_frame(5).matrix)
         code, out, _ = run_cli(capsys, "analyze", "--matrix", str(path), "--method", "numeric")
         pair = json.loads(out)["certificate"]["pair"]
         assert (pair["stop_reason"], pair["iterations"], pair["evaluations"]) == (
             "closed_form", 0, 0
         )
+
+    def test_numeric_beta_ignores_scale(self, tmp_path, capsys):
+        path = tmp_path / "s.mat"
+        A = sample_gaussian_matrix(12, 3, Field.REAL, seed=0)
+        betas = []
+        for c in (1.0, 1e-12):
+            write_matrix(path, c * A)
+            code, out, _ = run_cli(
+                capsys, "analyze", "--matrix", str(path), "--method", "numeric", "--seed", "3"
+            )
+            assert code == 0
+            betas.append(json.loads(out)["beta"])
+        assert betas[1] == pytest.approx(betas[0], rel=1e-12)
+
+    def test_numeric_zero_verdict_d3(self, tmp_path, capsys, complex_corpus):
+        # fewer than 8 complex rows cannot separate signals in C^3: this 5 x 3 has L = 0
+        path = tmp_path / "c.mat"
+        write_matrix(path, complex_corpus[1])
+        code, out, _ = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", "numeric",
+            "--restarts", "32", "--seed", "1",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["lower"] == 0.0 and report["beta"] == "inf"
 
     def test_missing_file_exits_3(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--matrix", "/nonexistent/x.mat")
