@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import queue
 import sys
 from pathlib import Path
 
@@ -224,22 +223,9 @@ def cmd_kernel(args) -> int:
     thetas = np.linspace(0.0, np.pi / 2, args.grid)
     closed_form = kernel_expectation_real if field is Field.REAL else kernel_expectation_complex
 
-    # The samples of each running grid point go into a buffer allocated here, on
-    # the calling thread: glibc keeps what a worker thread frees in that
-    # thread's arena, where later commands cannot reuse it.
-    buffers = queue.SimpleQueue()
-    for _ in range(min(threads, len(thetas))):
-        buffers.put(np.empty(args.mc_samples))
-
     def grid_point(i: int) -> list:
         theta = thetas[i]
-        vals = buffers.get()
-        try:
-            est, se = mc_kernel_expectation(
-                field, theta, args.mc_samples, args.seed, stream=i, out=vals
-            )
-        finally:
-            buffers.put(vals)
+        est, se = mc_kernel_expectation(field, theta, args.mc_samples, args.seed, stream=i)
         return [theta, closed_form(theta), est, se, kernel_expectation_bound(field, theta)]
 
     rows = workers.run_indexed(grid_point, range(len(thetas)), threads)
@@ -413,6 +399,7 @@ def main(argv=None) -> int:
         FieldMismatchError,
         ConditioningError,
         ValueError,
+        MemoryError,  # a size too large to allocate is a bad configuration
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

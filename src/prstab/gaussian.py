@@ -7,12 +7,14 @@ Normal variates are produced by Box-Muller on the uniform stream rather than
 the generator's native method, which pins the exact bit stream; the transform
 runs in blocks of ``BM_CHUNK`` pairs written into one output array.
 
-The Monte Carlo check of the kernel expectation never builds its sample
-matrix.  Two cursors on the (seed, stream) address, the second advanced n
-draws, feed the radius and phase uniforms to the same block transform, and
-each block's rows go straight into the one n-length array of samples, bit
-for bit the rows of ``sample_gaussian_matrix(n, 2, ...)``.  A `kernel` grid
-point thus holds one n-length array while it runs.
+The Monte Carlo check of the kernel expectation never builds an n-length
+array.  Row i of its sample takes the Box-Muller pair of uniform draws
+(2i, 2i + 1) on the (seed, stream) address, or the two pairs 4i..4i + 3 for
+the complex field, so a row's draws are consecutive and the sample does not
+depend on the block size.  Blocks of ``BM_CHUNK`` Box-Muller pairs are
+transformed in two buffers allocated once per call, and each block's mean
+and squared deviations are merged into running statistics.  A `kernel` grid
+point thus holds half a megabyte, whatever the sample count.
 
 Both kernel expectations ``E |<y, a><a, x>|`` are exact closed forms.  For
 unit complex vectors at angle t it is the hypergeometric value
@@ -73,14 +75,6 @@ def box_muller(gen: np.random.Generator, shape) -> np.ndarray:
         hi = min(lo + BM_CHUNK, pairs)
         _box_muller_block(u1[lo:hi], u2[lo:hi], z[lo:hi], z[pairs + lo : pairs + hi])
     return z[:n].reshape(shape)
-
-
-def _cursor(seed: int, stream: int, skip: int) -> np.random.Generator:
-    """Generator on the (seed, stream) address, `skip` uniform draws in."""
-    gen = stream_rng(seed, stream)
-    gen.bit_generator.advance(skip // 4)  # one Philox counter step is four draws
-    gen.random(skip % 4)
-    return gen
 
 
 def sample_gaussian_matrix(m: int, d: int, field: Field, seed: int, stream: int = 0) -> np.ndarray:
@@ -145,82 +139,62 @@ def kernel_expectation_bound(field: Field, theta: float) -> float:
     return float(np.cos(t) + (1 - 1 / b0**2) * (1 - np.cos(t)))
 
 
-def _kernel_rows(z: np.ndarray, c: float, s: float, out: np.ndarray) -> None:
-    """|conj(<a, x>) <a, y>| for the rows a = (z[:, 2r], z[:, 2r + 1]) into `out`.
-
-    z[0] holds the real parts and z[1], for the complex field, the imaginary
-    parts, laid out as `sample_gaussian_matrix(n, 2, ...)` lays out its rows.
-    """
-    A = z[0].reshape(-1, 2)
-    if len(z) == 2:
-        A = (A + 1j * z[1].reshape(-1, 2)) / np.sqrt(2.0)
-    ax = A[:, 0]
-    ay = A[:, 0] * c + A[:, 1] * s
-    np.abs(np.conj(ax) * ay, out=out)
-
-
 def mc_kernel_expectation(
-    field: Field, theta: float, n: int, seed: int, stream: int = 0, out: np.ndarray | None = None
+    field: Field, theta: float, n: int, seed: int, stream: int = 0
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the kernel expectation with its standard error.
 
     Uses x = e1 and y = (cos t, sin t) in dimension 2; the expectation only
-    depends on the angle.  The rows a are those of
-    `sample_gaussian_matrix(n, 2, field, seed, stream)`, bit for bit, but the
-    matrix is never built: two cursors on the (seed, stream) address draw
-    the radius and phase uniforms (the phase cursor n draws ahead; for the
-    complex field the imaginary parts start 2n draws in), and each block of
-    BM_CHUNK pairs gives its cosine halves to rows below n/2 and its sine
-    halves to the rows above (for odd n, row (n-1)/2 takes the last cosine
-    and the first sine).  The only n-length array is the samples themselves,
-    `out` (n float64 entries, overwritten) when given; the standard error
-    takes numpy's std steps in place on it.
+    depends on the angle.  Row i of the sample is a = r (cos phi, sin phi)
+    from the Box-Muller pair of uniform draws (2i, 2i + 1) of
+    `stream_rng(seed, stream)`.  For the complex field a row takes the four
+    draws 4i..4i + 3: the first pair gives the real parts and the second the
+    imaginary parts, and a = (re + i im) / sqrt(2).
+
+    The sample is drawn in blocks of BM_CHUNK Box-Muller pairs into two
+    buffers allocated once per call.  Each block's mean and sum of squared
+    deviations are taken in two passes and merged into the running (count,
+    mean, M2) by Chan's update, so memory does not grow with n.  The estimate and
+    `sqrt(M2 / (n - 1)) / sqrt(n)` agree with numpy's `mean()` and
+    `std(ddof=1) / sqrt(n)` of the whole sample to summation roundoff.
     """
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
     n = int(n)
-    if out is not None and (out.shape != (n,) or out.dtype != np.float64):
-        raise ValueError(f"out must be a float64 array of shape ({n},)")
+    pairs, dtype = (1, np.float64) if field is Field.REAL else (2, np.complex128)
+    # a complex row is (re + i im) / sqrt(2): the factor 1/2 this puts on
+    # conj(<a, x>) <a, y> goes exactly into the weights of y = (cos t, sin t)
     t = _fold_angle(theta)
-    c, s = np.cos(t), np.sin(t)
-    parts = 1 if field is Field.REAL else 2
-    cursors = [
-        (_cursor(seed, stream, 2 * n * k), _cursor(seed, stream, 2 * n * k + n))
-        for k in range(parts)
-    ]
-    odd, half = n % 2, n // 2
-    u = np.empty((2, BM_CHUNK))
-    cos_halves = np.empty((parts, BM_CHUNK))
-    # for odd n, slot 0 carries the previous block's last sine half, since the
-    # sine rows then pair halves (2k + 1, 2k + 2)
-    sin_halves = np.zeros((parts, BM_CHUNK + 1))
-    vals = np.empty(n) if out is None else out
-    for lo in range(0, n, BM_CHUNK):
-        size = min(BM_CHUNK, n - lo)
-        for k, (radius_gen, phase_gen) in enumerate(cursors):
-            u1, u2 = radius_gen.random(out=u[0, :size]), phase_gen.random(out=u[1, :size])
-            _box_muller_block(u1, u2, cos_halves[k, :size], sin_halves[k, odd : odd + size])
-        if lo == 0:
-            first_sin = sin_halves[:, odd].copy()
-        rows = size // 2
-        _kernel_rows(cos_halves[:, : 2 * rows], c, s, vals[lo // 2 : lo // 2 + rows])
-        rows = (odd + size) // 2
-        start = half + lo // 2
-        _kernel_rows(sin_halves[:, : 2 * rows], c, s, vals[start : start + rows])
-        if odd:
-            sin_halves[:, 0] = sin_halves[:, size]
-    if odd:  # the first block wrote a placeholder into the straddling row
-        straddle = np.stack([cos_halves[:, size - 1], first_sin], axis=1)
-        _kernel_rows(straddle, c, s, vals[half : half + 1])
-    est = float(vals.mean())
-    # vals.std(ddof=1), step for step as numpy takes it, but without its
-    # n-length array of deviations
-    mean = np.add.reduce(vals, keepdims=True)
-    np.true_divide(mean, n, out=mean)
-    np.subtract(vals, mean, out=vals)
-    np.square(vals, out=vals)
-    std = np.sqrt(np.add.reduce(vals) / (n - 1))
-    return est, float(std / np.sqrt(n))
+    c, s = np.cos(t) / pairs, np.sin(t) / pairs
+    gen = stream_rng(seed, stream)
+    rows = BM_CHUNK // pairs  # per block, which holds BM_CHUNK Box-Muller pairs
+    u = np.empty((rows, 2 * pairs))
+    # entries 1 and 2 of the rows; Box-Muller pair k of a row gives their part k
+    a = np.empty((2, rows, pairs))
+    x, y = a.view(dtype)[..., 0]
+    # a transformed block's uniforms are spent: u then holds c x and the values
+    w = u.reshape(-1)[:BM_CHUNK].view(dtype)
+    v = u.reshape(-1)[BM_CHUNK : BM_CHUNK + rows]
+    mean, m2 = 0.0, 0.0
+    for lo in range(0, n, rows):
+        size = min(rows, n - lo)
+        block = gen.random(out=u[:size])
+        for k in range(pairs):
+            _box_muller_block(block[:, 2 * k], block[:, 2 * k + 1], a[0, :size, k], a[1, :size, k])
+        xb, yb, wb, vb = x[:size], y[:size], w[:size], v[:size]
+        np.multiply(xb, c, out=wb)
+        yb *= s
+        yb += wb  # <a, y>, up to that factor
+        np.conjugate(xb, out=xb)
+        xb *= yb
+        np.abs(xb, out=vb)
+        block_mean = vb.sum() / size
+        vb -= block_mean
+        vb *= vb
+        delta = block_mean - mean  # merge the block's `size` rows into the first `lo`
+        mean += delta * size / (lo + size)
+        m2 += vb.sum() + delta * delta * lo * size / (lo + size)
+    return float(mean), float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
 
 
 @dataclass(frozen=True)

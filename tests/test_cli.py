@@ -289,6 +289,15 @@ class TestGaussianCommand:
         )
         assert code == 2
 
+    def test_unallocatable_size_exits_2(self, capsys):
+        # 10^15 rows need petabytes, beyond any address space, so the
+        # allocation fails at once under every overcommit policy
+        code, _, err = run_cli(
+            capsys, "gaussian", "--field", "real", "--d", "2", "--m", str(10**15), "--trials", "1"
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_single_complex_row_reports_inf(self, tmp_path, capsys):
         # one complex row cannot do phase retrieval: L_hat is roundoff, beta_hat is inf
         path = tmp_path / "g.csv"
@@ -345,7 +354,8 @@ class TestKernelCommand:
         assert float(last[1]) == pytest.approx(np.pi / 4, abs=1e-15)
 
     def test_real_csv_is_pinned(self, tmp_path, capsys):
-        # bytes written before Box-Muller ran in blocks; the seeded stream must not move
+        # re-recorded when the sample moved to one Box-Muller pair per row and
+        # streamed statistics; a seeded stream must not move without a re-pin
         out_csv = tmp_path / "k.csv"
         code, _, _ = run_cli(
             capsys, "kernel", "--field", "real", "--grid", "3",
@@ -354,11 +364,11 @@ class TestKernelCommand:
         assert code == 0
         assert out_csv.read_bytes() == (
             b"theta,closed_form,mc_estimate,mc_se,bound\n"
-            b"0.0,1.0,0.9904506625797177,0.006265679362653462,1.0\n"
-            b"0.7853981633974483,0.8037115486718268,0.8008301444000276,"
-            b"0.0051257579401448265,0.8935683954755758\n"
-            b"1.5707963267948966,0.6366197723675814,0.6375491035232189,"
-            b"0.0034337800940915054,0.6366197723675813\n"
+            b"0.0,1.0,1.0054827471590173,0.006337458477033082,1.0\n"
+            b"0.7853981633974483,0.8037115486718268,0.8120196559501377,"
+            b"0.005270835318677167,0.8935683954755758\n"
+            b"1.5707963267948966,0.6366197723675814,0.6364307016235871,"
+            b"0.0034221230777717556,0.6366197723675813\n"
         )
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -402,6 +412,11 @@ class TestRecoverCommand:
             capsys, "recover", "--gaussian", "40,3", "--delta", "0.2", "--trials", "1"
         )
         assert code == 2
+
+    def test_unallocatable_size_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "recover", "--gaussian", f"{10**15},2", "--trials", "1")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_matrix_and_gaussian_mutually_exclusive(self, capsys, tmp_path):
         path = tmp_path / "m.mat"

@@ -492,15 +492,16 @@ class TestSubsetSumTable:
         low = _subset_sums(terms[: min(m - 1, ENUM_CHUNK_BITS)].T)
         bits = _split_bits(m)
         for lo, hi in chunk_ranges(1 << (m - 1), ENUM_CHUNK):
-            got = _chunk_gram_sums(terms, low, lo).T
+            got, got_complement = (side.T for side in _chunk_gram_sums(terms, low, lo))
             ref = bits[lo:hi] @ terms[: m - 1]
             assert got.shape == ref.shape
+            assert np.array_equal(got_complement, total - got)
             if d == 1:
                 # bits @ terms runs as a gemv here, whose summation order may differ
                 assert np.max(np.abs(got - ref)) <= 1e-15 * total[0]
                 continue
             assert np.array_equal(got, ref)
-            for side, ref_side in ((got, ref), (total - got, total[None, :] - ref)):
+            for side, ref_side in ((got, ref), (got_complement, total[None, :] - ref)):
                 assert np.array_equal(_lambda_min_batch(side, d), _lambda_min_batch(ref_side, d))
 
     def test_rank_one_frame_is_infinite(self):
