@@ -9,6 +9,7 @@ formatting; an infinite condition number is written as the string "inf".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -142,17 +143,7 @@ def cmd_analyze(args) -> int:
     )
     cert = report.lower_certificate
     if isinstance(cert, PairCertificate):
-        certificate = {
-            "pair": {
-                "x": cert.x,
-                "y": cert.y,
-                "ratio": cert.ratio,
-                "iterations": cert.iterations,
-                "evaluations": cert.evaluations,
-                "restarts": cert.restarts,
-                "stop_reason": cert.stop_reason,
-            }
-        }
+        certificate = {"pair": dataclasses.asdict(cert)}
     else:
         certificate = {"subset": list(cert), "splits_scored": report.splits_scored}
     payload = {

@@ -206,8 +206,6 @@ class GaussianExperiment:
     m_values: tuple[int, ...]
     trials: int
     seed: int
-    restarts: int = 32
-    max_iters: int = 4000
 
     def __post_init__(self):
         if self.trials < 1:
@@ -218,7 +216,6 @@ class GaussianExperiment:
         if not ms or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ValueError("m_values must be non-empty and strictly increasing")
         object.__setattr__(self, "m_values", ms)
-        object.__setattr__(self, "restarts", max(self.restarts, 8 * self.d))
 
 
 @dataclass(frozen=True)
@@ -235,8 +232,9 @@ class BetaEstimateRow:
 def gaussian_beta_experiment(cfg: GaussianExperiment) -> list[BetaEstimateRow]:
     """Sample matrices per (m, trial) cell and estimate the condition number.
 
-    Each cell derives its own stream from (seed, m-index, trial).  Cells run
-    one after another, in (m, trial) order.
+    Each cell derives its own stream from (seed, m-index, trial) and runs
+    the numeric search with max(32, 8 d) restarts at its default iteration
+    budget.  Cells run one after another, in (m, trial) order.
     """
     beta0 = universal_lower_bound(cfg.field)
     rows = []
@@ -246,10 +244,7 @@ def gaussian_beta_experiment(cfg: GaussianExperiment) -> list[BetaEstimateRow]:
             A = sample_gaussian_matrix(m, cfg.d, cfg.field, cfg.seed, stream=stream)
             upper = upper_lipschitz(A)
             lower, _ = lower_lipschitz_numeric(
-                A,
-                restarts=cfg.restarts,
-                max_iters=cfg.max_iters,
-                seed=cfg.seed + 7919 * (stream + 1),
+                A, restarts=max(32, 8 * cfg.d), seed=cfg.seed + 7919 * (stream + 1)
             )
             beta = beta_from_constants(upper, lower)
             rows.append(

@@ -5,7 +5,7 @@ by the dtype (float64 for the real field, complex128 for the complex field).
 Row i of a matrix is the i-th measurement functional, i.e. the map applies as
 ``A @ x`` and the i-th magnitude is ``abs((A @ x)[i])``.  Hermitian
 eigenproblems go through LAPACK (``numpy.linalg.eigvalsh``/``eigh``); a
-batched 2x2 closed form scores row splits in bulk.
+batched 2x2 closed form scores row splits and frames in bulk.
 """
 
 from __future__ import annotations
@@ -140,12 +140,14 @@ def top_right_singular_vector(A: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def lambda_min_2x2_batch(g: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of many symmetric 2x2 matrices.
+def eigvals_2x2_batch(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues of many symmetric 2x2 matrices.
 
-    `g` has rows (g00, g01, g11); negatives from roundoff are clamped to 0
-    (the inputs are Gram matrices, hence PSD).
+    `g` has rows (g00, g01, g11), the upper triangle row by row.  The
+    eigenvalues are center -/+ radius; the smallest is clamped at 0 (the
+    inputs are Gram matrices, hence PSD).
     """
+    center = (g[..., 0] + g[..., 2]) / 2
     half = (g[..., 0] - g[..., 2]) / 2
-    rad = np.sqrt(np.maximum(half * half + g[..., 1] ** 2, 0.0))
-    return np.maximum((g[..., 0] + g[..., 2]) / 2 - rad, 0.0)
+    radius = np.sqrt(half * half + g[..., 1] ** 2)
+    return np.maximum(center - radius, 0.0), center + radius

@@ -10,25 +10,28 @@ pair it yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed
 form.  For d >= 3 (capped at ENUMERATION_CAP rows) and for `split_bound`,
 the Gram sums of all 2^(m-1) splits come from one subset-sum table built by
 doubling, one vectorized add per row, and each sum adds its rows in
-increasing index order.  Every split gets the AM-GM determinant bound
-lambda_min >= det G / (tr G/(d-1))^(d-1) on both sides, and the exact
-lambda_min is taken only where that bound comes within a roundoff margin of
-its chunk's best exact value: the same bits as scoring every split, while
-on Gaussian matrices of 16 to 21 rows 0.1-5% of the splits get an exact
-lambda_min.  Complex d = 2 searches an angle grid and then polls, both
-through one ratio kernel built per matrix: the squared moduli come from the
-2 x 2 Gram, the cross term from one real (2m x 6) product per batch of
-pairs.  The pair search accepts a move only when it gains more than the
-matrix's roundoff scale eps * ||A||_F^2, so its results scale with A.  The
-upper constant is always the spectral norm.  Also provides the
-universal condition-number floors and a derivative-free optimizer probing
-the best m x 2 real frame.
+increasing index order.  Gram sums, windows included, hold the upper
+triangle row by row for every d (`_packed_gram_index`).  Every split gets
+the AM-GM determinant bound lambda_min >= det G / (tr G/(d-1))^(d-1) on
+both sides, and the exact lambda_min is taken only where that bound comes
+within a roundoff margin of its chunk's best exact value: the same bits as
+scoring every split, while on Gaussian matrices of 16 to 21 rows 0.1-5% of
+the splits get an exact lambda_min.  Complex d = 2 searches an angle grid
+and then polls, both through one ratio kernel built per matrix: the squared
+moduli come from the 2 x 2 Gram, the cross term from one real (2m x 6)
+product per batch of pairs.  The pair search accepts a move only when it
+gains more than the matrix's roundoff scale eps * ||A||_F^2, so its results
+scale with A.  Every route reports L^2 <= 8 eps ||A||_F^2 as L = 0, the one
+case of beta = inf.  The upper constant is always the spectral norm.  Also
+provides the universal condition-number floors and a derivative-free
+optimizer probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 
 import numpy as np
 
@@ -38,8 +41,8 @@ from .linalg import (
     FieldMismatchError,
     dist,
     eigh_with_vectors,
+    eigvals_2x2_batch,
     field_of,
-    lambda_min_2x2_batch,
     phaseless_map,
     spectral_norm,
 )
@@ -54,7 +57,6 @@ D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
 D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
 PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
 POLL_BLOCK = 32  # _poll: iterations whose bases are drawn and factored at once
-ZERO_LOWER_FACTOR = 1e-10  # lower <= factor * upper declares beta = inf
 ZERO_ROUNDOFF_FACTOR = 8  # L^2 <= factor * eps * ||A||_F^2 is reported as L = 0: `_below_roundoff`
 
 METHOD_EXACT = "exact_real_subset"
@@ -129,41 +131,47 @@ def upper_lipschitz(A: np.ndarray) -> float:
     return spectral_norm(A)
 
 
+@cache
+def _packed_gram_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the entries of a d x d Gram matrix sit in a packed row: the upper triangle, row by row.
+
+    Entry k is G[rows[k], cols[k]] (np.triu_indices(d)), and at[i, j] =
+    at[j, i] is the position of G[i, j], so g[..., at] unpacks packed rows
+    to full symmetric matrices.  Read-only, shared by every caller.
+    """
+    rows, cols = np.triu_indices(d)
+    at = np.empty((d, d), dtype=np.intp)
+    at[rows, cols] = at[cols, rows] = np.arange(rows.size)
+    for index in (rows, cols, at):
+        index.setflags(write=False)
+    return rows, cols, at
+
+
 def _subset_gram_terms(A: np.ndarray) -> np.ndarray:
-    """Per-row rank-1 Gram terms packed for the batch lambda_min closed forms."""
-    d = A.shape[1]
-    if d == 1:
-        return (A[:, 0] ** 2)[:, None]
-    if d == 2:
-        return np.stack([A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2], axis=1)
-    if d == 3:
-        return np.stack(
-            [
-                A[:, 0] ** 2,
-                A[:, 1] ** 2,
-                A[:, 2] ** 2,
-                A[:, 0] * A[:, 1],
-                A[:, 0] * A[:, 2],
-                A[:, 1] * A[:, 2],
-            ],
-            axis=1,
-        )
-    return np.einsum("mi,mj->mij", A, A).reshape(A.shape[0], d * d)
+    """Per-row rank-1 Gram terms of real A (..., m, d), packed: shape (..., m, d(d+1)/2).
+
+    C-contiguous, unlike the product of fancy indexing on the last axis, so
+    a sum over the rows adds them one after another in index order, not
+    pairwise.
+    """
+    rows, cols, _ = _packed_gram_index(A.shape[-1])
+    return np.ascontiguousarray(A[..., rows] * A[..., cols])
+
+
+def _packed_trace(g: np.ndarray, d: int) -> np.ndarray:
+    """Traces of packed Gram rows g (..., d(d+1)/2), the diagonal added in order."""
+    return sum(g[..., k] for k in _packed_gram_index(d)[2].diagonal())
 
 
 def _lambda_min_batch(g: np.ndarray, d: int) -> np.ndarray:
     """lambda_min, clamped at 0, of many Gram sums packed as by `_subset_gram_terms`.
 
-    d = 2 in closed form; d >= 3 by batched eigvalsh, d = 3 unpacked from
-    (g00, g11, g22, g01, g02, g12) to 3 x 3 first.
+    d = 2 in closed form, every other d by batched eigvalsh of the unpacked
+    matrices (exact for d = 1).
     """
-    if d == 1:
-        return np.maximum(g[:, 0], 0.0)
     if d == 2:
-        return lambda_min_2x2_batch(g)
-    if d == 3:
-        g = g[:, [0, 3, 4, 3, 1, 5, 4, 5, 2]]
-    return np.maximum(np.linalg.eigvalsh(g.reshape(-1, d, d))[:, 0], 0.0)
+        return eigvals_2x2_batch(g)[0]
+    return np.maximum(np.linalg.eigvalsh(g[:, _packed_gram_index(d)[2]])[:, 0], 0.0)
 
 
 def _lambda_min_lower_batch(g: np.ndarray, d: int) -> np.ndarray:
@@ -173,21 +181,22 @@ def _lambda_min_lower_batch(g: np.ndarray, d: int) -> np.ndarray:
     det G <= lambda_min (t/(d-1))^(d-1).  The bound t (d-1)^(d-1) det(G/t)
     is taken on G/t, whose entries are at most 1, so it cannot overflow or
     underflow at any accepted scale; d = 1 is exact, and a zero or negative
-    trace gives 0.  No trigonometry and no eigensolver: d <= 3 in closed form,
-    d >= 4 by a batched LU determinant.
+    trace gives 0.  No trigonometry and no eigensolver: d <= 3 by cofactors,
+    d >= 4 by a batched LU determinant of the unpacked matrices.
     """
     if d == 1:
         return g[:, 0]
-    diagonal = (0, 2) if d == 2 else (0, 1, 2) if d == 3 else range(0, d * d, d + 1)
-    t = sum(g[:, k] for k in diagonal)
+    at = _packed_gram_index(d)[2]
+    t = _packed_trace(g, d)
     x = g * np.divide(1.0, t, out=np.zeros_like(t), where=t > 0)[:, None]
     if d == 2:
-        det = x[:, 0] * x[:, 2] - x[:, 1] ** 2
+        det = x[:, at[0, 0]] * x[:, at[1, 1]] - x[:, at[0, 1]] ** 2
     elif d == 3:
-        a, b, c, p, q, s = x.T
+        entries = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+        a, b, c, p, q, s = (x[:, at[i, j]] for i, j in entries)
         det = a * (b * c - s * s) - p * (p * c - s * q) + q * (p * s - b * q)
     else:
-        det = np.linalg.det(x.reshape(-1, d, d))
+        det = np.linalg.det(x[:, at])
     return t * det * float((d - 1) ** (d - 1))
 
 
@@ -257,12 +266,12 @@ def _reduce_over_splits(A: np.ndarray, combine, threads: int = 1) -> tuple[float
     kept, and the value and mask are bit-identical to scoring every split.
     Per side with trace t, the bound t (d-1)^(d-1) det(G/t) is rounded by at
     most about 2 d^2 eps t: det(G/t) is a cofactor form (d <= 3) or a
-    partial-pivoting LU (d >= 4) of entries at most 1, and a determinant
-    error is at most d times the backward error of G/t times the product of
-    the other eigenvalues, which AM-GM bounds by (d-1)^-(d-1).  The 2 x 2
-    form and eigvalsh are backward stable, within about d eps t of the true
-    lambda_min.  The traces of the two sides sum to
-    ||A||_F^2, and the combine rounds by at most 2 eps ||A||_F^2, so a
+    partial-pivoting LU of the unpacked matrix (d >= 4), of entries at most
+    1, and a determinant error is at most d times the backward error of G/t
+    times the product of the other eigenvalues, which AM-GM bounds by
+    (d-1)^-(d-1).  The 2 x 2 form and eigvalsh are backward stable, within
+    about d eps t of the true lambda_min.  The traces of the two sides sum
+    to ||A||_F^2, and the combine rounds by at most 2 eps ||A||_F^2, so a
     factor of 2 d^2 + d + 2 suffices and 8 d^2 leaves room.  Measured on
     10^6 stressed Gram matrices (d = 2..8; coincident, clustered, singular
     and graded spectra), the computed bound never exceeded the computed
@@ -313,10 +322,10 @@ def _require_real_enumerable(A: np.ndarray, capped: bool = True) -> None:
 def _below_roundoff(lower_sq, fro_sq):
     """Whether L^2 is at most ZERO_ROUNDOFF_FACTOR * eps * ||A||_F^2, zero to roundoff.
 
-    That is the roundoff of the d = 2 split sums and their closed-form
-    lambda_min, and of the pair kernels' sums over the rows, so such a lower
-    constant is reported as 0 (beta = inf) by the exact d = 2 route and by
-    the numeric route for every d.
+    That is the roundoff of the split sums and their lambda_min, and of the
+    pair kernels' sums over the rows, so such a lower constant is reported
+    as 0 (beta = inf) by both routes for every d.  A nonzero L thus has
+    L/U > sqrt(8 eps), about 4.2e-8.
     """
     return lower_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * fro_sq
 
@@ -345,9 +354,9 @@ def _lower_exact_windows(A: np.ndarray):
     reaches its start + pi/2: one stable argsort per matrix of the queries
     followed by the angles, so a query sorts before the angles it ties with.
     Returns (lower_sq, gram, split): per matrix the least window value L^2,
-    0 below its roundoff (`_below_roundoff`), and the packed Gram (g00, g01,
-    g11); `split(b)` is an optimal split of matrix b, sorted row indices with
-    row m-1 in the complement.
+    0 below its roundoff (`_below_roundoff`), and the packed Gram of all
+    rows (`_subset_gram_terms`); `split(b)` is an optimal split of matrix b,
+    sorted row indices with row m-1 in the complement.
     """
     B, m, _ = A.shape
     angle = np.mod(np.arctan2(A[..., 1], A[..., 0]), np.pi)
@@ -357,7 +366,7 @@ def _lower_exact_windows(A: np.ndarray):
     flat = (order + m * frame[:, None]).T  # layout (position, frame) from here on
     angle = angle.ravel()[flat]
     rows = A.reshape(-1, 2)[flat]
-    terms = rows[..., [0, 0, 1]] * rows[..., [0, 1, 1]]
+    terms = _subset_gram_terms(rows)
     prefix = np.zeros((2 * m + 1, B, 3))
     np.cumsum(np.concatenate([terms, terms]), axis=0, out=prefix[1:])
     gram = prefix[m]
@@ -369,9 +378,9 @@ def _lower_exact_windows(A: np.ndarray):
     end = queries - (3 * m * frame + index[:, None])
     prefix = prefix.reshape(-1, 3)
     window = prefix.take(end * B + frame, axis=0) - prefix.take(start * B + frame, axis=0)
-    tot = lambda_min_2x2_batch(window) + lambda_min_2x2_batch(gram - window)
+    tot = eigvals_2x2_batch(window)[0] + eigvals_2x2_batch(gram - window)[0]
     lower_sq = tot.min(axis=0)
-    lower_sq[_below_roundoff(lower_sq, gram[:, 0] + gram[:, 2])] = 0.0
+    lower_sq[_below_roundoff(lower_sq, _packed_trace(gram, 2))] = 0.0
 
     def split(b: int) -> tuple[int, ...]:
         k = int(np.argmin(tot[:, b]))
@@ -400,7 +409,8 @@ def lower_lipschitz_exact_real(
     lambda_min >= det G / (tr G / (d-1))^(d-1) on each side, comes within
     the roundoff margin of `_reduce_over_splits` of the best exact value in
     its chunk; value and subset are bit-identical to scoring every split.
-    If `stats` is a dict, stats["splits_scored"] is set to the number of
+    For every d, an L^2 below roundoff (`_below_roundoff`) is reported as
+    0.  If `stats` is a dict, stats["splits_scored"] is set to the number of
     splits whose exact lambda_min was taken: 0 for d = 1, the m windows for
     d = 2.
     """
@@ -413,7 +423,7 @@ def lower_lipschitz_exact_real(
         value, subset, scored = float(np.sqrt(lower_sq[0])), split(0), m
     else:
         best_val, best_mask, scored = _reduce_over_splits(A, np.add, threads)
-        value = float(np.sqrt(max(best_val, 0.0)))
+        value = 0.0 if _below_roundoff(best_val, float(np.sum(A * A))) else float(np.sqrt(best_val))
         subset = tuple(i for i in range(m - 1) if (best_mask >> i) & 1)
     if stats is not None:
         stats["splits_scored"] = scored
@@ -823,8 +833,8 @@ def real_beta_lower_bound(m: int) -> float:
 
 
 def beta_from_constants(upper: float, lower: float) -> float:
-    """beta = upper / lower, or inf when lower <= ZERO_LOWER_FACTOR * upper."""
-    if lower <= ZERO_LOWER_FACTOR * upper:
+    """beta = upper / lower, or inf when lower == 0: every route zeroes L by `_below_roundoff`."""
+    if lower == 0:
         return float("inf")
     return float(upper / lower)
 
@@ -840,7 +850,8 @@ def condition_number(
 
     `method` is "exact_real_subset" (real matrices; d >= 3 up to the
     enumeration cap) or "numeric_orth_pair".  beta is +inf when the lower
-    constant sits below the scale-invariant zero threshold.
+    constant is reported as 0, below the scale-invariant roundoff floor of
+    `_below_roundoff`.
     """
     upper = upper_lipschitz(A)
     stats: dict = {}
@@ -869,7 +880,7 @@ def condition_number(
 def _frame_beta_batch(rows: np.ndarray) -> np.ndarray:
     """Exact condition numbers of a batch of m x 2 real frames; inf where L is zero to roundoff."""
     lower_sq, g, _ = _lower_exact_windows(rows)
-    lam_max = (g[:, 0] + g[:, 2]) / 2 + np.sqrt(((g[:, 0] - g[:, 2]) / 2) ** 2 + g[:, 1] ** 2)
+    _, lam_max = eigvals_2x2_batch(g)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(lower_sq > 0, np.sqrt(lam_max / lower_sq), np.inf)
 

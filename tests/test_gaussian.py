@@ -266,8 +266,6 @@ class TestExperiment:
             GaussianExperiment(Field.REAL, 2, (50, 50), 2, 0)
         with pytest.raises(ValueError):
             GaussianExperiment(Field.REAL, 2, (50,), 0, 0)
-        cfg = GaussianExperiment(Field.REAL, 4, (10, 20), 1, 0, restarts=4)
-        assert cfg.restarts == 32  # floor of 8 * d
 
     def test_rows_ordered_and_deterministic(self):
         cfg = GaussianExperiment(Field.REAL, 2, (20, 40), 2, seed=11)

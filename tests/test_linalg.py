@@ -14,7 +14,7 @@ from prstab import (
 from prstab.linalg import (
     as_matrix,
     eigh_with_vectors,
-    lambda_min_2x2_batch,
+    eigvals_2x2_batch,
     top_right_singular_vector,
 )
 
@@ -192,7 +192,9 @@ class TestBatchClosedForms:
         B = rng.standard_normal((100, 2, 2))
         M = np.einsum("nij,nkj->nik", B, B)
         packed = np.stack([M[:, 0, 0], M[:, 0, 1], M[:, 1, 1]], axis=1)
-        assert np.allclose(lambda_min_2x2_batch(packed), np.linalg.eigvalsh(M)[:, 0], atol=1e-12)
+        lam_min, lam_max = eigvals_2x2_batch(packed)
+        assert np.allclose(lam_min, np.linalg.eigvalsh(M)[:, 0], atol=1e-12)
+        assert np.allclose(lam_max, np.linalg.eigvalsh(M)[:, 1], atol=1e-12)
 
 
 class TestAsMatrix:

@@ -1,3 +1,4 @@
+import json
 from collections import deque
 
 import numpy as np
@@ -20,7 +21,9 @@ from prstab import (
     split_bound,
     universal_lower_bound,
     upper_lipschitz,
+    write_matrix,
 )
+from prstab.cli import main
 from prstab.gaussian import GaussianExperiment, gaussian_beta_experiment
 from prstab.linalg import GRAM_LIMIT
 from prstab.stability import (
@@ -41,6 +44,7 @@ from prstab.stability import (
     _lambda_min_lower_batch,
     _lower_exact_windows,
     _orthonormalize_batch,
+    _packed_gram_index,
     _pair_objective,
     _pairs_complex_d2,
     _poll,
@@ -50,7 +54,7 @@ from prstab.stability import (
     _subset_gram_terms,
     _subset_sums,
 )
-from prstab.linalg import lambda_min_2x2_batch
+from prstab.linalg import eigvals_2x2_batch
 from prstab.workers import chunk_ranges
 
 THREE_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [2**-0.5, 2**-0.5]])
@@ -89,7 +93,7 @@ def lower_exact_arcs(A):
     starts = np.arange(m)
     # run[s, k] sums the k sorted rows from position s on, cyclically
     run = prefix[starts[:, None] + starts[None, :]] - prefix[starts, None]
-    tot = lambda_min_2x2_batch(run) + lambda_min_2x2_batch(prefix[m] - run)
+    tot = eigvals_2x2_batch(run)[0] + eigvals_2x2_batch(prefix[m] - run)[0]
     s, k = divmod(int(np.argmin(tot)), m)
     rows = order[(s + np.arange(k)) % m]
     if m - 1 in rows:
@@ -284,10 +288,11 @@ class TestExactD3NearlyEqualEigenvalues:
         # diag(1e-6, 1e-6, 100) rotated: a trigonometric closed form returned 7.13e-7
         rng = np.random.default_rng(4)
         tol = 8 * 9 * np.finfo(float).eps * 100.0
+        rows, cols, _ = _packed_gram_index(3)
         for _ in range(200):
             q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
             M = q @ np.diag([1e-6, 1e-6, 100.0]) @ q.T
-            packed = M[[0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]]
+            packed = M[rows, cols]
             assert abs(_lambda_min_batch(packed[None], 3)[0] - 1e-6) <= tol
 
 
@@ -358,7 +363,8 @@ class TestPrunedEnumeration:
                 if d >= 3:
                     stats = {}
                     value, subset = lower_lipschitz_exact_real(A, stats=stats)
-                    assert value == np.sqrt(oracle_sq)
+                    zero = oracle_sq <= ZERO_ROUNDOFF_FACTOR * np.finfo(float).eps * np.sum(A * A)
+                    assert value == (0.0 if zero else np.sqrt(oracle_sq))
                     assert subset == tuple(i for i in range(A.shape[0]) if (oracle_mask >> i) & 1)
                     assert stats == {"splits_scored": scored}
                 if A.shape[0] < 2 * d - 1:
@@ -396,13 +402,71 @@ class TestPrunedEnumeration:
         Q = np.linalg.qr(rng.standard_normal((n, d, d)))[0]
         G = np.einsum("nij,nj,nkj->nik", Q, spectra, Q)
         G = (G + G.transpose(0, 2, 1)) / 2
-        packed = {1: [(0, 0)], 2: [(0, 0), (0, 1), (1, 1)]}
-        packed[3] = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
-        g = np.stack([G[:, i, j] for i, j in packed[d]], axis=1) if d <= 3 else G.reshape(n, -1)
+        rows, cols, _ = _packed_gram_index(d)
+        g = G[:, rows, cols]
         trace = np.trace(G, axis1=1, axis2=2)
         excess = _lambda_min_lower_batch(g, d) - _lambda_min_batch(g, d)
         assert np.all(excess <= 4 * np.finfo(float).eps * trace)
         assert np.all(_lambda_min_lower_batch(np.zeros((3, g.shape[1])), d) == 0.0)
+
+
+class TestPackedLayout:
+    """Packed Gram rows: the upper triangle, row by row, for every d."""
+
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_lambda_min_matches_eigvalsh_of_full_gram(self, d):
+        # packed sums and full Grams add the same products in the same row order
+        rng = np.random.default_rng(90 + d)
+        A = rng.standard_normal((256, 2 * d, d)) * 10.0 ** rng.uniform(-6, 6, (256, 1, 1))
+        A[:64, 1] = 0.0
+        A[64:128, d:] = 0.0
+        g = _subset_gram_terms(A).sum(axis=1)
+        G = np.zeros((A.shape[0], d, d))
+        for i in range(A.shape[1]):
+            G += A[:, i, :, None] * A[:, i, None, :]
+        rows, cols, at = _packed_gram_index(d)
+        assert g.shape == (A.shape[0], d * (d + 1) // 2)
+        assert np.array_equal(g, G[:, rows, cols]) and np.array_equal(g[:, at], G)
+        expected = np.maximum(np.linalg.eigvalsh(G)[:, 0], 0.0)
+        assert np.array_equal(_lambda_min_batch(g, d), expected)
+
+
+def non_injective_corpus():
+    """Real m x d matrices with m < 2d - 1 rows, d = 3..5: none separates signals."""
+    for d in range(3, 6):
+        for m in range(2, 2 * d - 1):
+            for s in range(30):
+                yield np.random.default_rng(1000 * d + 10 * m + s).standard_normal((m, d))
+
+
+class TestExactZeroVerdict:
+    """Exact d >= 3 reports L = 0 below roundoff, like every other route."""
+
+    @pytest.mark.parametrize("shape,seed", [((2, 3), 3025), ((5, 4), 4062)])
+    def test_found_matrices(self, shape, seed):
+        # both reported a finite beta (2.3e9 and 1.3e9) from L of about 1e-9
+        rep = condition_number(np.random.default_rng(seed).standard_normal(shape), METHOD_EXACT)
+        assert rep.lower == 0.0 and rep.beta == np.inf
+
+    def test_non_injective_corpus_at_every_scale(self):
+        for A in non_injective_corpus():
+            for k in (-6, 0, 6):
+                rep = condition_number(A * 10.0**k, METHOD_EXACT)
+                assert rep.lower == 0.0 and rep.beta == np.inf
+
+    def test_injective_matrices_stay_nonzero(self, real_corpus):
+        # A03's real corpus: Gaussian rows, m >= 2d - 1
+        for A in real_corpus:
+            for k in (-6, 0, 6):
+                rep = condition_number(A * 10.0**k, METHOD_EXACT)
+                assert rep.lower > 0.0 and np.isfinite(rep.beta)
+
+    def test_cli_reports_inf(self, tmp_path, capsys):
+        path = tmp_path / "a.mat"
+        write_matrix(path, np.random.default_rng(3025).standard_normal((2, 3)))
+        assert main(["analyze", "--matrix", str(path), "--method", "exact"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["lower"] == 0.0 and report["beta"] == "inf"
 
 
 def _split_bits(m: int) -> np.ndarray:
@@ -420,7 +484,7 @@ def einsum_split_min(rows):
     tot = terms.sum(axis=1)
     g_subset = np.einsum("nk,bkt->bnt", _split_bits(m), terms[:, : m - 1])
     g_complement = tot[:, None, :] - g_subset
-    delta_sq = (lambda_min_2x2_batch(g_subset) + lambda_min_2x2_batch(g_complement)).min(axis=1)
+    delta_sq = (eigvals_2x2_batch(g_subset)[0] + eigvals_2x2_batch(g_complement)[0]).min(axis=1)
     return delta_sq, tot
 
 
@@ -950,7 +1014,7 @@ class TestPollCallerPins:
         cfg = GaussianExperiment(field=Field.COMPLEX, d=2, m_values=(50,), trials=1, seed=5)
         assert gaussian_beta_experiment(cfg)[0].lower == 2.1419455240541474
         A = sample_gaussian_matrix(50, 2, Field.COMPLEX, 5, stream=0)
-        lower, cert = lower_lipschitz_numeric(A, restarts=cfg.restarts, seed=5 + 7919)
+        lower, cert = lower_lipschitz_numeric(A, restarts=32, seed=5 + 7919)
         assert lower == 2.1419455240541474
         assert (cert.iterations, cert.evaluations, cert.stop_reason) == (48, 14796, "converged")
 
