@@ -137,15 +137,13 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--restarts must be >= 1, got {args.restarts}")
     A = read_matrix(args.matrix)
     method = METHOD_EXACT if args.method == "exact" else METHOD_NUMERIC
-    threads = resolve_threads(args.threads)
-    report = condition_number(
-        A, method=method, restarts=args.restarts, seed=args.seed, threads=threads
-    )
+    resolve_threads(args.threads)  # validated only: both methods run serially
+    report = condition_number(A, method=method, restarts=args.restarts, seed=args.seed)
     cert = report.lower_certificate
     if isinstance(cert, PairCertificate):
         certificate = {"pair": dataclasses.asdict(cert)}
     else:
-        certificate = {"subset": list(cert), "splits_scored": report.splits_scored}
+        certificate = {"subset": list(cert), "nodes_scored": report.nodes_scored}
     payload = {
         "upper": report.upper,
         "lower": report.lower,
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p, text="worker pool size (default: PRSTAB_THREADS or logical cores)"):
+    def add_threads(p, text):
         p.add_argument("--threads", type=int, default=None, help=text)
 
     serial = "accepted and validated; this command runs serially"
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="output path (default: stdout)")
-    add_threads(p)
+    add_threads(p, serial)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("harmonic", help="closed-form table for equidistant frames")

@@ -7,24 +7,24 @@ windows of the rows sorted by angle mod pi hold an optimal split, scored in
 O(m log m) per matrix by one batched routine that also scores the frame
 optimizer's candidates, and the numeric route reports that value with the
 pair it yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed
-form.  For d >= 3 (capped at ENUMERATION_CAP rows) and for `split_bound`,
-the Gram sums of all 2^(m-1) splits come from one subset-sum table built by
-doubling, one vectorized add per row, and each sum adds its rows in
-increasing index order.  Gram sums, windows included, hold the upper
-triangle row by row for every d (`_packed_gram_index`).  Every split gets
-the AM-GM determinant bound lambda_min >= det G / (tr G/(d-1))^(d-1) on
-both sides, and the exact lambda_min is taken only where that bound comes
-within a roundoff margin of its chunk's best exact value: the same bits as
-scoring every split, while on Gaussian matrices of 16 to 21 rows 0.1-5% of
-the splits get an exact lambda_min.  Complex d = 2 searches an angle grid
-and then polls, both through one ratio kernel built per matrix: the squared
-moduli come from the 2 x 2 Gram, the cross term from one real (2m x 6)
-product per batch of pairs.  The pair search accepts a move only when it
-gains more than the matrix's roundoff scale eps * ||A||_F^2, so its results
-scale with A.  Every route reports L^2 <= 8 eps ||A||_F^2 as L = 0, the one
-case of beta = inf.  The upper constant is always the spectral norm.  Also
-provides the universal condition-number floors and a derivative-free
-optimizer probing the best m x 2 real frame.
+form.  For d >= 3 (capped at ENUMERATION_CAP rows) and for `split_bound`
+at every d, one serial engine finds the least split: a batched alternation
+between splits and the lambda_min eigenvectors of their two sides gives an
+incumbent, and a depth-first branch and bound over the rows in norm order
+proves it, pruning every node whose lambda_min bound exceeds the best value
+by more than a roundoff margin.  The splits that survive are scored again
+with their rows added in increasing index order, so value and split are the
+bits of scoring all 2^(m-1) splits.  Gram sums, windows included, hold the
+upper triangle row by row for every d (`_packed_gram_index`).  Complex
+d = 2 searches an angle grid and then polls, both through one ratio kernel
+built per matrix: the squared moduli come from the 2 x 2 Gram, the cross
+term from one real (2m x 6) product per batch of pairs.  The pair search
+accepts a move only when it gains more than the matrix's roundoff scale
+eps * ||A||_F^2, so its results scale with A.  Every route reports
+L^2 <= 8 eps ||A||_F^2 as L = 0, the one case of beta = inf.  The upper
+constant is always the spectral norm.  Also provides the universal
+condition-number floors and a derivative-free optimizer probing the best
+m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ from .linalg import (
 
 ENUMERATION_CAP = 24
 FRAME_ROW_CAP = 16  # optimize_frame_r2: the largest frames its search has been run at
-ENUM_CHUNK_BITS = 16  # masks per enumeration chunk: 2^ENUM_CHUNK_BITS
-ENUM_CHUNK = 1 << ENUM_CHUNK_BITS
-PRUNE_PROBES = 64  # splits per chunk scored exactly to set its incumbent
-PRUNE_MARGIN = 8  # bound pruning slack: PRUNE_MARGIN * d^2 * eps * ||A||_F^2
+SPLIT_STARTS = 64  # _split_incumbent: alternation starts, drawn from SPLIT_SEED
+SPLIT_SEED = 303
+SPLIT_BATCH = 2048  # _reduce_over_splits: nodes expanded per branch-and-bound step
+PRUNE_MARGIN = 8  # branch-and-bound slack: PRUNE_MARGIN * (m + d^2) * eps * ||A||_F^2
 D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
 D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
 PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
@@ -102,7 +102,7 @@ class PairCertificate:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """`splits_scored` (exact method only): splits whose exact lambda_min was taken."""
+    """`nodes_scored` (exact method only): the nodes `lower_lipschitz_exact_real` scored."""
 
     upper: float
     lower: float
@@ -110,7 +110,7 @@ class StabilityReport:
     method: str
     lower_certificate: tuple[int, ...] | PairCertificate | None = None
     bounds: dict = dc_field(default_factory=dict)
-    splits_scored: int | None = None
+    nodes_scored: int | None = None
 
 
 @dataclass(frozen=True)
@@ -174,139 +174,136 @@ def _lambda_min_batch(g: np.ndarray, d: int) -> np.ndarray:
     return np.maximum(np.linalg.eigvalsh(g[:, _packed_gram_index(d)[2]])[:, 0], 0.0)
 
 
-def _lambda_min_lower_batch(g: np.ndarray, d: int) -> np.ndarray:
-    """Lower bounds on lambda_min of many PSD Gram sums, packed as for `_lambda_min_batch`.
+def _split_values(terms: np.ndarray, masks: np.ndarray, combine, d: int) -> np.ndarray:
+    """combine(lambda_min(G_I), lambda_min(G_{I^c})) of the splits I in `masks`, summed in index order.
 
-    By AM-GM on the other d-1 eigenvalues, whose sum is at most the trace t,
-    det G <= lambda_min (t/(d-1))^(d-1).  The bound t (d-1)^(d-1) det(G/t)
-    is taken on G/t, whose entries are at most 1, so it cannot overflow or
-    underflow at any accepted scale; d = 1 is exact, and a zero or negative
-    trace gives 0.  No trigonometry and no eigensolver: d <= 3 by cofactors,
-    d >= 4 by a batched LU determinant of the unpacked matrices.
+    `terms` are the packed row terms of `_subset_gram_terms`, and bit i of a
+    mask puts row i in I (row m-1 is never in I).  I's rows are added one
+    by one in increasing index order, and G_{I^c} is terms.sum(axis=0) less
+    G_I: the sums a subset-sum table built by doubling gives every split, so
+    each value is the one scoring every split yields, to the last bit.
     """
-    if d == 1:
-        return g[:, 0]
+    m, p = terms.shape
+    g = np.zeros((masks.size, p))
+    for j in range(m - 1):
+        np.add(g, terms[j], out=g, where=((masks >> j) & 1).astype(bool)[:, None])
+    return combine(_lambda_min_batch(g, d), _lambda_min_batch(terms.sum(axis=0) - g, d))
+
+
+def _split_incumbent(A: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Masks of the splits a batched alternation ends at, from SPLIT_STARTS fixed random pairs.
+
+    For unit u, v the split I = {i : <a_i,u>^2 <= <a_i,v>^2} has
+    lambda_min(G_I) + lambda_min(G_{I^c}) <= sum_i min(<a_i,u>^2, <a_i,v>^2)
+    (`_lower_exact_windows`), and the unit lambda_min eigenvectors of G_I and
+    G_{I^c} score at most the split's value.  So alternating the two steps
+    never raises the value.  Each step forms every start's two Gram sums by
+    one 0/1 product against the row terms and takes their eigenvectors by
+    one batched eigh; it stops when no start's split changes, or after
+    m + SPLIT_STARTS steps.  The masks follow the split convention: row m-1
+    sits in the complement.
+    """
+    m, d = A.shape
+    W = np.random.default_rng(SPLIT_SEED).standard_normal((d, 2 * SPLIT_STARTS))
+    W /= np.linalg.norm(W, axis=0)
     at = _packed_gram_index(d)[2]
-    t = _packed_trace(g, d)
-    x = g * np.divide(1.0, t, out=np.zeros_like(t), where=t > 0)[:, None]
-    if d == 2:
-        det = x[:, at[0, 0]] * x[:, at[1, 1]] - x[:, at[0, 1]] ** 2
-    elif d == 3:
-        entries = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-        a, b, c, p, q, s = (x[:, at[i, j]] for i, j in entries)
-        det = a * (b * c - s * s) - p * (p * c - s * q) + q * (p * s - b * q)
-    else:
-        det = np.linalg.det(x[:, at])
-    return t * det * float((d - 1) ** (d - 1))
+    inside = None
+    for _ in range(m + SPLIT_STARTS):
+        AW = A @ W
+        AW *= AW
+        split = AW[:, :SPLIT_STARTS] <= AW[:, SPLIT_STARTS:]
+        if inside is not None and np.array_equal(split, inside):
+            break
+        inside = split
+        g = np.concatenate([inside, ~inside], axis=1).T.astype(float) @ terms
+        W = eigh_with_vectors(g[:, at])[1][:, :, 0].T
+    inside = inside[: m - 1] != inside[m - 1]
+    return np.unique((inside.T.astype(np.int64) << np.arange(m - 1)).sum(axis=1))
 
 
-def _subset_sums(terms: np.ndarray) -> np.ndarray:
-    """Sums of the row terms over every subset of the rows, by doubling.
-
-    `terms` has shape (..., k), one term per row in the last axis; entry
-    [..., mask] of the result sums the terms of the rows set in `mask`.  The
-    table doubles once per row, g[mask | 1<<j] = g[mask] + terms[j] for
-    mask < 1<<j, so each sum adds its rows in increasing index order: the
-    order a 0/1 matrix product over the same rows uses, to the last bit.
-    """
-    *lead, k = terms.shape
-    g = np.zeros((*lead, 1 << k))
-    for j in range(k):
-        g[..., 1 << j : 2 << j] = g[..., : 1 << j] + terms[..., j : j + 1]
-    return g
-
-
-def _chunk_gram_sums(terms: np.ndarray, low: np.ndarray, lo: int) -> np.ndarray:
-    """Packed Gram sums, shape (2, k, n), of the n subsets in the chunk of masks
-    from `lo` and of their complements.
-
-    `low` is the subset-sum table of the first log2(n) rows; the chunk copies
-    it and adds the rows set in the high bits of `lo`, so every sum still
-    adds its rows in increasing index order.  A complement's sum is the total
-    of all rows less its subset's.  Both sides share one block: glibc raises
-    its trim threshold to twice the largest block it has unmapped, and a
-    chunk's temporaries stay under twice this block, so a worker's next chunk
-    reuses their pages instead of faulting them in again (about 5,100 minor
-    faults per 19 x 3 call with two separate blocks).
-    """
-    g = np.empty((2,) + low.shape)
-    subset, complement = g
-    np.copyto(subset, low)
-    for j in range(low.shape[1].bit_length() - 1, terms.shape[0] - 1):
-        if (lo >> j) & 1:
-            subset += terms[j][:, None]
-    np.subtract(terms.sum(axis=0)[:, None], subset, out=complement)
-    return g
-
-
-def _reduce_over_splits(A: np.ndarray, combine, threads: int = 1) -> tuple[float, int, int]:
+def _reduce_over_splits(A: np.ndarray, combine) -> tuple[float, int, int]:
     """Least combine(lambda_min(G_I), lambda_min(G_{I^c})) over all row splits.
 
-    Masks range over subsets of the first m-1 rows, so each pair {I, I^c} is
-    visited exactly once (the last row always sits in the complement), in
-    fixed chunks of ENUM_CHUNK masks, over `threads` workers for d <= 3 and
-    serially for d >= 4: there the bound's batched np.linalg.det does not
-    overlap across threads, so a pool loses time.  `combine` is
-    np.add (the exact L^2) or np.maximum (`split_bound`).  Returns (value,
-    mask, scored): the least value, the first mask attaining it, and the
-    number of splits whose exact lambda_min was taken.
+    `combine` is np.add (the exact L^2) or np.maximum (`split_bound`).
+    Returns (value, mask, nodes): the least value, the least mask attaining
+    it (row m-1 in the complement), bit-identical to scoring all 2^(m-1)
+    splits by `_split_values`, and the number of nodes scored.
 
-    A chunk is pruned before any exact eigenvalue is taken.  Every split
-    gets the determinant bound of both sides (`_lambda_min_lower_batch`),
-    combined the same way; the PRUNE_PROBES splits with the smallest
-    combined bound are scored exactly, and their best value is the chunk's
-    incumbent.  Only splits whose bound is at most incumbent + margin are
-    scored exactly, and the first least value among them in mask order is
-    the chunk's.  The pruning uses the chunk's own incumbent only, so the
-    result and the count do not depend on `threads`.
+    The incumbent is the best of the alternation's splits
+    (`_split_incumbent`), scored by `_split_values`; if it is zero to
+    roundoff (`_below_roundoff`) it is returned at once, no node scored.
+    Otherwise a depth-first branch and bound assigns the rows, sorted by
+    norm (descending, stable), one at a time to side S (holding the first)
+    or side T, expanding up to SPLIT_BATCH nodes per step.  A row adds a
+    PSD term to its side's Gram sum, which by Weyl never lowers its
+    lambda_min, so combine(lambda_min(G_S), lambda_min(G_T)) of the rows
+    assigned so far, summed in norm order, bounds every completion.  A
+    node whose bound exceeds the best value plus margin = PRUNE_MARGIN
+    (m + d^2) eps ||A||_F^2 is pruned, and every surviving leaf is scored
+    again by `_split_values`; only those values move the best value.  A
+    node takes one new lambda_min and inherits its parent's for the other
+    side; `nodes` counts them, the root included, and the leaves scored
+    again.
 
-    Exactness: with margin = PRUNE_MARGIN * d^2 * eps * ||A||_F^2, every
-    split's computed bound is at most its computed exact value plus the
-    margin, so every split attaining the chunk's least computed value is
-    kept, and the value and mask are bit-identical to scoring every split.
-    Per side with trace t, the bound t (d-1)^(d-1) det(G/t) is rounded by at
-    most about 2 d^2 eps t: det(G/t) is a cofactor form (d <= 3) or a
-    partial-pivoting LU of the unpacked matrix (d >= 4), of entries at most
-    1, and a determinant error is at most d times the backward error of G/t
-    times the product of the other eigenvalues, which AM-GM bounds by
-    (d-1)^-(d-1).  The 2 x 2 form and eigvalsh are backward stable, within
-    about d eps t of the true lambda_min.  The traces of the two sides sum
-    to ||A||_F^2, and the combine rounds by at most 2 eps ||A||_F^2, so a
-    factor of 2 d^2 + d + 2 suffices and 8 d^2 leaves room.  Measured on
-    10^6 stressed Gram matrices (d = 2..8; coincident, clustered, singular
-    and graded spectra), the computed bound never exceeded the computed
-    lambda_min by more than 1.2 eps t.
+    Exactness.  With u = eps/2 and F = ||A||_F^2, a Gram sum of k rows
+    formed one add at a time, in any order, differs from the exact sum by
+    a matrix with entries at most k u sum_r |a_ri a_rj| (the products'
+    rounding included), so of 2-norm at most k u t, t the rows' trace; by
+    Weyl, lambda_min moves by no more.  The complement's total of m rows,
+    its subtraction and the combine add at most m u F, u F and u F, and
+    the 2 x 2 closed form and eigvalsh are backward stable, within about
+    d eps t.  Over both sides (traces adding to F, k <= m-1), a node's
+    bound lies within (m/2 + d + 1/2) eps F of its exact value, and a
+    leaf's `_split_values` value within (3m/2 + d + 1/2) eps F of its own.
+    Every ancestor's exact bound is at most the leaf's exact value, and
+    the best value is always some leaf's `_split_values` value, never
+    below the least of them.  So no ancestor of a split attaining that
+    least value exceeds the best value by more than (2m + 2d + 1) eps F,
+    which the margin covers with room for the eigensolvers' constant:
+    every such split is scored again, and the least (value, mask) among
+    them is that of scoring every split.
     """
     m, d = A.shape
     terms = _subset_gram_terms(A)
-    low = _subset_sums(terms[: min(m - 1, ENUM_CHUNK_BITS)].T)
-    margin = PRUNE_MARGIN * d * d * np.finfo(float).eps * float(np.sum(A * A))
-
-    def do_chunk(rng: tuple[int, int]):
-        lo, _ = rng
-        g_subset, g_complement = _chunk_gram_sums(terms, low, lo)
-
-        def exact(cols):
-            return combine(
-                _lambda_min_batch(g_subset[:, cols].T, d),
-                _lambda_min_batch(g_complement[:, cols].T, d),
-            )
-
-        bound = combine(
-            _lambda_min_lower_batch(g_subset.T, d), _lambda_min_lower_batch(g_complement.T, d)
-        )
-        probes = np.argpartition(bound, min(PRUNE_PROBES, bound.size) - 1)[:PRUNE_PROBES]
-        keep = bound <= exact(probes).min() + margin
-        kept = np.flatnonzero(keep)
-        values = exact(kept)
-        k = int(np.argmin(values))
-        scored = kept.size + int(np.count_nonzero(~keep[probes]))
-        return float(values[k]), lo + int(kept[k]), scored
-
-    chunks = workers.chunk_ranges(1 << (m - 1), ENUM_CHUNK)
-    results = workers.run_indexed(do_chunk, chunks, threads if d <= 3 else 1)
-    value, mask = min((value, mask) for value, mask, _ in results)
-    return value, mask, sum(scored for _, _, scored in results)
+    fro_sq = float(np.sum(A * A))
+    margin = PRUNE_MARGIN * (m + d * d) * np.finfo(float).eps * fro_sq
+    masks = _split_incumbent(A, terms)
+    values = _split_values(terms, masks, combine, d)
+    k = np.lexsort((masks, values))[0]
+    best = (float(values[k]), int(masks[k]))
+    if m == 1 or _below_roundoff(best[0], fro_sq):  # m = 1: the one split is the incumbent
+        return (*best, 0)
+    order = np.argsort(-np.sum(A * A, axis=1), kind="stable")
+    root = np.stack([terms[order[0]], np.zeros_like(terms[0])])[None]
+    lam = _lambda_min_batch(root.reshape(2, -1), d)[None]
+    stack = [(1, root, lam, np.array([1 << int(order[0])], dtype=np.int64))]
+    nodes = 1
+    side = np.eye(2, dtype=bool)  # child c adds the next row to side c
+    while stack:
+        depth, g, lam, in_s = stack.pop()
+        if in_s.size > SPLIT_BATCH:
+            stack.append((depth, g[SPLIT_BATCH:], lam[SPLIT_BATCH:], in_s[SPLIT_BATCH:]))
+            g, lam, in_s = g[:SPLIT_BATCH], lam[:SPLIT_BATCH], in_s[:SPLIT_BATCH]
+        n, row = in_s.size, int(order[depth])
+        grown = g + terms[row]
+        lam_grown = _lambda_min_batch(grown.reshape(2 * n, -1), d).reshape(n, 2)
+        g = np.where(side[:, None, :, None], grown, g).reshape(2 * n, 2, -1)
+        lam = np.where(side[:, None, :], lam_grown, lam).reshape(2 * n, 2)
+        in_s = np.concatenate([in_s | (1 << row), in_s])
+        nodes += 2 * n
+        keep = combine(lam[:, 0], lam[:, 1]) <= best[0] + margin
+        if not keep.any():
+            continue
+        if depth + 1 < m:
+            stack.append((depth + 1, g[keep], lam[keep], in_s[keep]))
+            continue
+        leaves = in_s[keep]
+        leaves = np.where((leaves >> (m - 1)) & 1, leaves ^ ((1 << m) - 1), leaves)
+        values = _split_values(terms, leaves, combine, d)
+        nodes += leaves.size
+        k = np.lexsort((leaves, values))[0]
+        best = min(best, (float(values[k]), int(leaves[k])))
+    return (*best, nodes)
 
 
 def _require_real_enumerable(A: np.ndarray, capped: bool = True) -> None:
@@ -394,7 +391,7 @@ def _lower_exact_windows(A: np.ndarray):
 
 
 def lower_lipschitz_exact_real(
-    A: np.ndarray, threads: int = 1, stats: dict | None = None
+    A: np.ndarray, stats: dict | None = None
 ) -> tuple[float, tuple[int, ...]]:
     """Exact optimal lower constant of a real matrix, with a minimizing subset.
 
@@ -402,17 +399,16 @@ def lower_lipschitz_exact_real(
     the empty side contributes 0.  Returns (value, subset indices): sorted,
     0-based, with row m-1 always in the complement.  d = 1 is ||a|| (every
     split has the value sum a_i^2; the subset is empty) and d = 2 scores
-    quarter windows in O(m log m), both for any m.  d >= 3 enumerates the
-    splits (over `threads` workers for d = 3, serially for d >= 4), up to
-    ENUMERATION_CAP rows, and takes the exact lambda_min only of the splits
-    whose determinant bound,
-    lambda_min >= det G / (tr G / (d-1))^(d-1) on each side, comes within
-    the roundoff margin of `_reduce_over_splits` of the best exact value in
-    its chunk; value and subset are bit-identical to scoring every split.
-    For every d, an L^2 below roundoff (`_below_roundoff`) is reported as
-    0.  If `stats` is a dict, stats["splits_scored"] is set to the number of
-    splits whose exact lambda_min was taken: 0 for d = 1, the m windows for
-    d = 2.
+    quarter windows in O(m log m), both for any m.  d >= 3, up to
+    ENUMERATION_CAP rows, runs the split engine of `_reduce_over_splits`: an
+    alternation for the incumbent, then a branch and bound over the rows in
+    norm order, with every surviving split scored again in index order, so
+    value and subset are bit-identical to scoring all 2^(m-1) splits.  For
+    every d, an L^2 below roundoff (`_below_roundoff`) is reported as 0; if
+    the incumbent is already there, so is its subset, and no node is
+    scored.  If `stats` is a dict, stats["nodes_scored"] is set to the
+    number of nodes scored: 0 for d = 1, the m windows for d = 2, and for
+    d >= 3 the branch-and-bound nodes and the leaves scored again.
     """
     m, d = A.shape
     _require_real_enumerable(A, capped=d >= 3)
@@ -422,25 +418,27 @@ def lower_lipschitz_exact_real(
         lower_sq, _, split = _lower_exact_windows(A[None])
         value, subset, scored = float(np.sqrt(lower_sq[0])), split(0), m
     else:
-        best_val, best_mask, scored = _reduce_over_splits(A, np.add, threads)
+        best_val, best_mask, scored = _reduce_over_splits(A, np.add)
         value = 0.0 if _below_roundoff(best_val, float(np.sum(A * A))) else float(np.sqrt(best_val))
         subset = tuple(i for i in range(m - 1) if (best_mask >> i) & 1)
     if stats is not None:
-        stats["splits_scored"] = scored
+        stats["nodes_scored"] = scored
     return value, subset
 
 
-def split_bound(A: np.ndarray, threads: int = 1) -> float:
+def split_bound(A: np.ndarray) -> float:
     """Min over row splits of the larger of the two smallest-eigenvalue roots.
 
     Sandwiches the exact lower constant within a factor of sqrt(2).  The
-    same pruned enumeration as `lower_lipschitz_exact_real`, with the two
-    sides' lambda_min and their determinant bounds combined by max rather
-    than sum; sqrt is monotone and correctly rounded, so the root of the
-    least max is bit-identical to the least max of the roots.
+    split engine of `lower_lipschitz_exact_real` for every d, with the two
+    sides' lambda_min and the branch and bound's bounds combined by max
+    rather than sum; sqrt is monotone and correctly rounded, so the root of
+    the least max is bit-identical to the least max of the roots.  A least
+    max below roundoff (`_below_roundoff`) is reported as 0.
     """
     _require_real_enumerable(A)
-    return float(np.sqrt(_reduce_over_splits(A, np.maximum, threads)[0]))
+    value = _reduce_over_splits(A, np.maximum)[0]
+    return 0.0 if _below_roundoff(value, float(np.sum(A * A))) else float(np.sqrt(value))
 
 
 def _scale_step(p, r, q):
@@ -844,7 +842,6 @@ def condition_number(
     method: str = METHOD_EXACT,
     restarts: int = 32,
     seed: int = 0,
-    threads: int = 1,
 ) -> StabilityReport:
     """Assemble upper and lower constants into a stability report.
 
@@ -856,7 +853,7 @@ def condition_number(
     upper = upper_lipschitz(A)
     stats: dict = {}
     if method == METHOD_EXACT:
-        lower, cert = lower_lipschitz_exact_real(A, threads=threads, stats=stats)
+        lower, cert = lower_lipschitz_exact_real(A, stats=stats)
         certificate: tuple[int, ...] | PairCertificate = cert
     elif method == METHOD_NUMERIC:
         lower, certificate = lower_lipschitz_numeric(A, restarts=restarts, seed=seed)
@@ -873,7 +870,7 @@ def condition_number(
         method=method,
         lower_certificate=certificate,
         bounds=bounds,
-        splits_scored=stats.get("splits_scored"),
+        nodes_scored=stats.get("nodes_scored"),
     )
 
 

@@ -89,7 +89,7 @@ class TestAnalyze:
         assert report["beta"] == "inf" and report["lower"] == 0.0
 
     def test_exact_counts_splits_scored(self, tmp_path, capsys):
-        # real d = 1, 2 and 3; the 18 x 3 enumeration runs two chunks, pooled at 2 threads
+        # real d = 1, 2 and 3; --threads is validated only, so the outputs match
         rng = np.random.default_rng(13)
         for m, d in ((5, 1), (9, 2), (18, 3)):
             path = tmp_path / f"a{m}x{d}.mat"
@@ -102,12 +102,13 @@ class TestAnalyze:
                 outs.append(out)
             assert outs[0] == outs[1]
             certificate = json.loads(outs[0])["certificate"]
-            assert list(certificate) == ["subset", "splits_scored"]
-            scored = certificate["splits_scored"]
+            assert list(certificate) == ["subset", "nodes_scored"]
+            scored = certificate["nodes_scored"]
             if d <= 2:
                 assert scored == (0 if d == 1 else m)
             else:
-                assert 2 * 64 <= scored < 1 << (m - 1)
+                # the branch and bound scores a few hundred nodes for 2^17 splits
+                assert 0 < scored <= 1000
 
     def test_exact_on_complex_exits_2(self, tmp_path, capsys):
         path = tmp_path / "c.mat"
