@@ -16,15 +16,16 @@ by more than a roundoff margin.  The splits that survive are scored again
 with their rows added in increasing index order, so value and split are the
 bits of scoring all 2^(m-1) splits.  Gram sums, windows included, hold the
 upper triangle row by row for every d (`_packed_gram_index`).  Complex
-d = 2 searches an angle grid and then polls, both through one ratio kernel
-built per matrix: the squared moduli come from the 2 x 2 Gram, the cross
-term from one real (2m x 6) product per batch of pairs.  The pair search
-accepts a move only when it gains more than the matrix's roundoff scale
-eps * ||A||_F^2, so its results scale with A.  Every route reports
-L^2 <= 8 eps ||A||_F^2 as L = 0, the one case of beta = inf.  The upper
-constant is always the spectral norm.  Also provides the universal
-condition-number floors and a derivative-free optimizer probing the best
-m x 2 real frame.
+d = 2 searches the Bloch sphere: the pair objective depends only on the
+Bloch vector n of x, through per-row terms built once per matrix, so the
+state is a 3-vector, seeded from a Fibonacci lattice, and a batch of
+points costs two (m x 3) products; with at most 3 nonzero rows L = 0 in
+closed form.  The pair search accepts a move only when it gains more than
+the matrix's roundoff scale eps * ||A||_F^2, so its results scale with
+A.  Every route reports L^2 <= 8 eps ||A||_F^2 as L = 0, the one case of
+beta = inf.  The upper constant is always the spectral norm.  Also
+provides the universal condition-number floors and a derivative-free
+optimizer probing the best m x 2 real frame.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ SPLIT_STARTS = 64  # _split_incumbent: alternation starts, drawn from SPLIT_SEED
 SPLIT_SEED = 303
 SPLIT_BATCH = 2048  # _reduce_over_splits: nodes expanded per branch-and-bound step
 PRUNE_MARGIN = 8  # branch-and-bound slack: PRUNE_MARGIN * (m + d^2) * eps * ||A||_F^2
-D2_GRID = 64  # complex d = 2 seeds: D2_GRID x 2*D2_GRID angle grid
-D2_GRID_CHUNK = 1 << 20  # grid columns per chunk times rows
+D2_SPHERE_POINTS = 2048  # complex d = 2 seeds: Fibonacci lattice points on the Bloch sphere
+D2_GRID_CHUNK = 1 << 20  # lattice columns per chunk times rows
 PACE_WINDOW = 10  # _poll: iterations over which a state's pace is measured
 POLL_BLOCK = 32  # _poll: iterations whose bases are drawn and factored at once
 ZERO_ROUNDOFF_FACTOR = 8  # L^2 <= factor * eps * ||A||_F^2 is reported as L = 0: `_below_roundoff`
@@ -82,13 +83,15 @@ class PairCertificate:
 
     x is unit, y = t*u for a unit u orthogonal to x and t in [0, 1]; `ratio`
     is |||Ax| - |Ay||| / dist(x, y) at the pair.  `stop_reason` says how the
-    search ended: "closed_form" (d = 1 and real d = 2, no search: the ratio
-    is the exact lower constant up to roundoff), "converged" (the search's
-    best state has converged, and every other restart has converged too or
-    could no longer catch it at its pace) or "budget" (the pattern search
-    hit its iteration cap with such a step still above its floor).
-    `evaluations` counts the pair-objective columns scored, the complex
-    d = 2 angle grid included; it is 0 for "closed_form".
+    search ended: "closed_form" (no search: d = 1 and real d = 2, where the
+    ratio is the exact lower constant up to roundoff, and complex d = 2 with
+    at most 3 nonzero rows, where L = 0 and the ratio is 0 to roundoff),
+    "converged" (the search's best state has converged, and every other
+    restart has converged too or could no longer catch it at its pace) or
+    "budget" (the pattern search hit its iteration cap with such a step
+    still above its floor).  `evaluations` counts the pair-objective
+    columns scored, the complex d = 2 sphere lattice included; it is 0 for
+    "closed_form".
     """
 
     x: np.ndarray
@@ -480,39 +483,89 @@ def _ratio_sq_min_over_scale(A: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.
     return _min_over_scale(AX.sum(axis=0), AU.sum(axis=0), q)
 
 
-def _complex_d2_ratio(A: np.ndarray):
-    """The columnwise kernel of `_ratio_sq_min_over_scale` for one complex m x 2 A.
+def _bloch_terms(A: np.ndarray) -> np.ndarray:
+    """Rows T_i = w_i s_i of complex m x 2 A, shape (m, 3), with no division.
 
-    p and r are quadratic forms of the 2 x 2 Gram M = A^H A, O(1) per
-    column.  For q, |a x||a u| = |a_1^2 x_1 u_1 + a_1 a_2 (x_1 u_2 + x_2 u_1)
-    + a_2^2 x_2 u_2|, so one real (2m x 6) @ (6 x cols) product gives the
-    real and imaginary parts of every row's product, and q is the column sum
-    of their moduli.  Each row keeps the roundoff of about eps |a_i|^2 of
-    the direct form, also for rows orthogonal to x or u.
+    w_i = |a_i|^2 / 2 and s_i is the Bloch vector of conj(a_i)/|a_i|, so T_i
+    = (|a_i1|^2 - |a_i2|^2, 2 Re(a_i1 conj a_i2), 2 Im(a_i1 conj a_i2)) / 2.
+    For unit x with Bloch vector n (x x^H = (I + n0 sz + n1 sx + n2 sy)/2)
+    and unit u orthogonal to x, |a_i x|^2 = w_i + T_i.n and |a_i u|^2 =
+    w_i - T_i.n.
     """
-    m = A.shape[0]
-    M = A.conj().T @ A
-    b = np.stack([A[:, 0] ** 2, A[:, 0] * A[:, 1], A[:, 1] ** 2], axis=1)
-    B = np.block([[b.real, -b.imag], [b.imag, b.real]])
-    ones = np.ones(m)
+    cross = A[:, 0] * A[:, 1].conj()
+    return np.stack(
+        [(np.abs(A[:, 0]) ** 2 - np.abs(A[:, 1]) ** 2) / 2, cross.real, cross.imag], axis=1
+    )
 
-    def form(X):
-        return (
-            M[0, 0].real * np.abs(X[0]) ** 2
-            + M[1, 1].real * np.abs(X[1]) ** 2
-            + 2 * (np.conj(X[0]) * M[0, 1] * X[1]).real
-        )
 
-    def ratio(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-        c = np.stack([X[0] * U[0], X[0] * U[1] + X[1] * U[0], X[1] * U[1]])
-        w = B @ np.concatenate([c.real, c.imag])
-        w *= w
-        w_top = w[:m]
-        w_top += w[m:]
-        np.sqrt(w_top, out=w_top)
-        return _min_over_scale(form(X), form(U), ones @ w_top)
+def _bloch_objective(A: np.ndarray):
+    """The squared pair ratio of one complex m x 2 A as a function of the Bloch vector of x.
 
-    return ratio
+    In C^2 the unit u orthogonal to x is fixed by x up to a phase, which no
+    term sees, so the objective of `_ratio_sq_min_over_scale` depends only
+    on the Bloch vector n of x: with P = ||A||_F^2 / 2 and c = sum_i T_i
+    (`_bloch_terms`), p = P + c.n, r = P - c.n and q = sum_i |T_i x n| =
+    sum_i sqrt((T_i.e1)^2 + (T_i.e2)^2) for the orthonormal tangent pair e1,
+    e2 of n in the closed form of Duff et al. (JCGT 2017).  Each row keeps
+    a roundoff of about eps |a_i|^2, also where n = +/-s_i, which the form
+    w_i sqrt(1 - (s_i.n)^2) would lose to sqrt(eps).  The returned function
+    scores raw (3, cols) columns, normalized inside: two (m x 3) @ (3 x
+    cols) products per batch.
+    """
+    T = _bloch_terms(A)
+    P = np.linalg.norm(A) ** 2 / 2
+    c = T.sum(axis=0)
+
+    def objective(V: np.ndarray) -> np.ndarray:
+        N = V / np.linalg.norm(V, axis=0)
+        n0, n1, n2 = N
+        sign = np.copysign(1.0, n2)
+        a = -1.0 / (sign + n2)
+        b = n0 * n1 * a
+        along_e1 = T @ np.stack([1.0 + sign * n0 * n0 * a, sign * b, -sign * n0])
+        along_e2 = T @ np.stack([b, sign + n1 * n1 * a, -n1])
+        along_e1 *= along_e1
+        along_e2 *= along_e2
+        along_e1 += along_e2
+        np.sqrt(along_e1, out=along_e1)
+        cn = c @ N
+        return _min_over_scale(P + cn, P - cn, along_e1.sum(axis=0))
+
+    return objective
+
+
+def _bloch_pairs(N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit x with Bloch vector n and unit u = (-conj x2, conj x1) orthogonal to it, per column.
+
+    N holds unit Bloch vectors as columns (3, cols).  x is the larger
+    column of the projector (I + n.sigma)/2, normalized: (1 + n0, n1 + i n2)
+    where n0 >= 0, else (n1 - i n2, 1 - n0), so no angle is taken and x
+    keeps its accuracy at the poles.
+    """
+    n0, n1, n2 = N
+    X = np.where(n0 >= 0, np.stack([1 + n0, n1 + 1j * n2]), np.stack([n1 - 1j * n2, 1 - n0]))
+    X /= np.linalg.norm(X, axis=0)
+    return X, np.stack([-X[1].conj(), X[0].conj()])
+
+
+def _bloch_zero_pair(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x and y = t*u with |Ax| = |Ay|, for complex m x 2 A with at most 3 nonzero rows.
+
+    A unit n orthogonal to s_1 - s_2 and s_1 - s_3 (the nonzero rows' unit
+    Bloch vectors) has s_i.n = kappa for every such row; flipped so that
+    kappa <= 0, it gives |a_i x|^2 = w_i (1 + kappa) and |a_i u|^2 = w_i (1 -
+    kappa) (`_bloch_terms`), so y = sqrt((1 + kappa)/(1 - kappa)) u, with
+    t in [0, 1], matches every modulus.  n is the last right singular vector
+    of the differences, which also covers zero rows and coincident s_i.
+    """
+    rows = A[np.linalg.norm(A, axis=1) > 0]
+    S = 2 * _bloch_terms(rows / np.linalg.norm(rows, axis=1)[:, None])
+    n = np.linalg.svd(np.vstack([S[1:] - S[:1], np.zeros((3, 3))]))[2][-1]
+    kappa = float(S[0] @ n) if len(S) else 0.0
+    if kappa > 0:
+        n, kappa = -n, -kappa
+    X, U = _bloch_pairs(n[:, None])
+    return X[:, 0], np.sqrt((1 + kappa) / (1 - kappa)) * U[:, 0]
 
 
 def _orthonormalize_batch(W: np.ndarray, d: int):
@@ -536,15 +589,13 @@ def _orthonormalize_batch(W: np.ndarray, d: int):
     return X, U, ok
 
 
-def _pair_objective(ratio, d: int):
-    """Squared pair ratio of raw (x_raw ; u_raw) columns; inf where they degenerate.
-
-    `ratio(X, U)` is the columnwise kernel of the matrix, d the length of x.
-    """
+def _pair_objective(A: np.ndarray):
+    """Squared pair ratio of A at raw (x_raw ; u_raw) columns; inf where they degenerate."""
+    d = A.shape[1]
 
     def objective(W: np.ndarray) -> np.ndarray:
         X, U, ok = _orthonormalize_batch(W, d)
-        return np.where(ok, ratio(X, U), np.inf)
+        return np.where(ok, _ratio_sq_min_over_scale(A, X, U), np.inf)
 
     return objective
 
@@ -654,32 +705,25 @@ def _poll(objective, Z0, rng, h0, hmin, max_iter, shrink, min_gain, expand=1.0, 
     return np.ascontiguousarray(Z.T), vals, it, stop, evaluations
 
 
-def _pairs_complex_d2(theta: np.ndarray, gamma: np.ndarray):
-    ct, st = np.cos(theta), np.sin(theta)
-    eg = np.exp(1j * gamma)
-    X = np.stack([ct.astype(complex), st * eg])
-    U = np.stack([st.astype(complex), -ct * eg])
-    return X, U
+def _bloch_grid_seeds(objective, m: int) -> tuple[np.ndarray, int]:
+    """Search starts for complex d = 2: the 12 best points of a Fibonacci lattice on S^2.
 
-
-def _complex_d2_grid_seeds(ratio, m: int) -> tuple[np.ndarray, int]:
-    """Search starts for complex d = 2: the 12 best pairs of a D2_GRID x 2*D2_GRID angle grid.
-
-    Returns the starts as (x ; u) rows and the number of grid pairs scored.
+    The lattice has D2_SPHERE_POINTS points, scored in chunks of about
+    D2_GRID_CHUNK / m columns.  Returns the starts as rows and the number of
+    lattice points scored.
     """
-    th = np.linspace(0.0, np.pi / 2, D2_GRID)
-    ga = np.linspace(0.0, 2 * np.pi, 2 * D2_GRID, endpoint=False)
-    T, G = np.meshgrid(th, ga, indexing="ij")
-    tt, gg = T.ravel(), G.ravel()
-    # chunk the grid so 2m x ncols work arrays stay modest at large m
-    cols = tt.size
+    k = np.arange(D2_SPHERE_POINTS) + 0.5
+    height = 1 - 2 * k / D2_SPHERE_POINTS
+    radius = np.sqrt(1 - height * height)
+    turn = np.pi * (3 - np.sqrt(5)) * k
+    N = np.stack([height, radius * np.cos(turn), radius * np.sin(turn)])
+    # chunk the lattice so m x cols work arrays stay modest at large m
+    cols = N.shape[1]
     chunk = max(1, min(cols, D2_GRID_CHUNK // max(m, 1)))
     vals = np.empty(cols)
     for lo, hi in workers.chunk_ranges(cols, chunk):
-        vals[lo:hi] = ratio(*_pairs_complex_d2(tt[lo:hi], gg[lo:hi]))
-    seeds = np.argsort(vals)[:12]
-    X0, U0 = _pairs_complex_d2(tt[seeds], gg[seeds])
-    return np.concatenate([X0.T, U0.T], axis=1), cols
+        vals[lo:hi] = objective(N[:, lo:hi])
+    return np.ascontiguousarray(N[:, np.argsort(vals)[:12]].T), cols
 
 
 def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -711,14 +755,18 @@ def lower_lipschitz_numeric(
 
     Searches pairs (x, u) with ||x|| = 1, ||u|| = 1, <x, u> = 0 and resolves
     the scale of y = t*u in closed form; the returned value is always an
-    upper bound on the true optimal lower constant.  d = 1 and real d = 2
-    need no search (stop_reason "closed_form"): d = 1 has the one pair
-    (x, 0), and real d = 2 takes the exact value from the quarter windows
-    and the pair from the lambda_min eigenvectors of the best split.
-    Otherwise one pattern search runs; only its seeding differs.  Complex
-    d = 2 starts from the 12 best pairs of a dense angle grid, scored like
-    the search with the kernel of `_complex_d2_ratio`, one real (2m x 6)
-    product per batch of pairs; d >= 3 starts from `restarts` random pairs
+    upper bound on the true optimal lower constant.  Three cases need no
+    search (stop_reason "closed_form"): d = 1 has the one pair (x, 0); real
+    d = 2 takes the exact value from the quarter windows and the pair from
+    the lambda_min eigenvectors of the best split; complex d = 2 with at
+    most 3 nonzero rows is never injective (Bandeira, Cahill, Mixon and
+    Nelson, ACHA 2014) and reports 0 with the pair of `_bloch_zero_pair`.
+    Otherwise one pattern search runs.  Complex d = 2 searches the Bloch
+    sphere, since the objective depends only on the Bloch vector of x
+    (`_bloch_objective`): a raw 3-vector state, started from the 12 best
+    points of a Fibonacci lattice (`_bloch_grid_seeds`), with the pair
+    taken from the best state by `_bloch_pairs`; `restarts` does not apply
+    to it.  d >= 3 searches raw (x ; u) states from `restarts` random pairs
     and the coordinate pairs, scored by `_ratio_sq_min_over_scale`.  A move
     must gain more than the roundoff scale eps * ||A||_F^2, so the search
     of c*A takes the steps of the search of A, up to roundoff (exactly
@@ -728,21 +776,23 @@ def lower_lipschitz_numeric(
     other restarts have either converged or fallen too far behind to catch
     it in the iterations left (stop_reason "converged"), or at `max_iters`
     ("budget"); the certificate counts the pair-objective columns scored,
-    the grid included.
+    the lattice included.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     m, d = A.shape
     cplx = field_of(A) is Field.COMPLEX
-    if d == 1 or (d == 2 and not cplx):
+    if d == 1 or d == 2 and (not cplx or np.count_nonzero(np.linalg.norm(A, axis=1)) <= 3):
         if d == 1:
             # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
             x, y = np.ones(1, dtype=A.dtype), np.zeros(1, dtype=A.dtype)
+        elif cplx:
+            x, y = _bloch_zero_pair(A)
         else:
             lower_sq, _, split = _lower_exact_windows(A[None])
             x, y = _pair_from_split(A, split(0))
         ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
-        lower = ratio if d == 1 else float(np.sqrt(lower_sq[0]))
+        lower = ratio if d == 1 else 0.0 if cplx else float(np.sqrt(lower_sq[0]))
         return lower, PairCertificate(
             x=x,
             y=y,
@@ -755,8 +805,8 @@ def lower_lipschitz_numeric(
     fro_sq = np.linalg.norm(A) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     if d == 2:
-        ratio_kernel = _complex_d2_ratio(A)
-        Z0, grid = _complex_d2_grid_seeds(ratio_kernel, m)
+        objective = _bloch_objective(A)
+        Z0, grid = _bloch_grid_seeds(objective, m)
         h0, hmin = 0.1, 1e-9
     else:
         n = 2 * d
@@ -769,13 +819,10 @@ def lower_lipschitz_numeric(
         coord[np.arange(i.size), i] = 1.0
         coord[np.arange(i.size), d + j] = 1.0
         Z0 = np.vstack([Z0, coord])
-
-        def ratio_kernel(X, U):
-            return _ratio_sq_min_over_scale(A, X, U)
-
+        objective = _pair_objective(A)
         h0, hmin, grid = 0.5, tol * 1e-2, 0
     Z, vals, iterations, stop, evaluations = _poll(
-        _pair_objective(ratio_kernel, d),
+        objective,
         Z0,
         rng,
         h0=h0,
@@ -786,8 +833,12 @@ def lower_lipschitz_numeric(
         keep=1,
     )
     k = int(np.argmin(vals))
-    # grid and coordinate seeds start finite and only improve: the best state is not degenerate
-    X, U, _ = _orthonormalize_batch(Z[k : k + 1].T, d)
+    best = Z[k : k + 1].T
+    if d == 2:
+        X, U = _bloch_pairs(best / np.linalg.norm(best))
+    else:
+        # coordinate seeds start finite and only improve: the best state is not degenerate
+        X, U, _ = _orthonormalize_batch(best, d)
     best_x, best_u = X[:, 0], U[:, 0]
     AX, AU = np.abs(A @ best_x), np.abs(A @ best_u)
     values, t_star = _scale_step(*(float(v.sum()) for v in (AX**2, AU**2, AX * AU)))

@@ -126,8 +126,8 @@ class TestAnalyze:
         report = json.loads(out)
         assert "pair" in report["certificate"]
         assert report["beta"] >= report["bounds"]["beta0"] - 1e-6
-        # the 64 x 128 angle grid counts toward the evaluations
-        assert report["certificate"]["pair"]["evaluations"] > 64 * 128
+        # the 2048-point sphere lattice counts toward the evaluations
+        assert report["certificate"]["pair"]["evaluations"] > 2048
 
     def test_malformed_file_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.mat"
@@ -313,7 +313,7 @@ class TestGaussianCommand:
 
     def test_complex_d2_below_four_rows_reports_zero(self, tmp_path, capsys):
         # below 4 rows no complex 2-column matrix does phase retrieval: the
-        # searched L^2 sits at the kernel's roundoff and reads as L_hat = 0
+        # numeric route gives L = 0 in closed form, so L_hat = 0
         path = tmp_path / "g.csv"
         code, _, _ = run_cli(
             capsys, "gaussian", "--field", "complex", "--d", "2", "--m", "2,3",

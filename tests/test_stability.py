@@ -33,15 +33,17 @@ from prstab.stability import (
     POLL_BLOCK,
     ZERO_ROUNDOFF_FACTOR,
     EnumerationCapError,
+    D2_SPHERE_POINTS,
     PairCertificate,
-    _complex_d2_ratio,
+    _bloch_objective,
+    _bloch_pairs,
+    _bloch_terms,
     _frame_beta_batch,
     _lambda_min_batch,
     _lower_exact_windows,
     _orthonormalize_batch,
     _packed_gram_index,
     _pair_objective,
-    _pairs_complex_d2,
     _poll,
     _ratio_sq_min_over_scale,
     _reduce_over_splits,
@@ -620,21 +622,21 @@ class TestSubsetSumTable:
         assert np.isinf(condition_number(A).beta)
 
 
-class TestComplexD2Kernel:
-    """The complex d = 2 ratio kernel against `_ratio_sq_min_over_scale`, column by column."""
+class TestBlochKernel:
+    """The Bloch-sphere kernel against `_ratio_sq_min_over_scale`, column by column."""
 
     @staticmethod
-    def assert_matches(A, X, U):
-        got = _complex_d2_ratio(A)(X, U)
-        ref = _ratio_sq_min_over_scale(A, X, U)
+    def assert_matches(A, N):
+        got = _bloch_objective(A)(N)
+        ref = _ratio_sq_min_over_scale(A, *_bloch_pairs(N))
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.sum(np.abs(A) ** 2)
 
     @staticmethod
-    def random_pairs(rng, n=64):
-        Z = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
-        X, U, ok = _orthonormalize_batch(Z.T, 2)
-        assert ok.all()
-        return X, U
+    def unit_columns(V):
+        return V / np.linalg.norm(V, axis=0)
+
+    def random_points(self, rng, n=64):
+        return self.unit_columns(rng.standard_normal((3, n)))
 
     @staticmethod
     def complex_rows(rng, m):
@@ -643,7 +645,7 @@ class TestComplexD2Kernel:
     def test_random_matrices(self):
         rng = np.random.default_rng(71)
         for m in range(1, 201):
-            self.assert_matches(self.complex_rows(rng, m), *self.random_pairs(rng))
+            self.assert_matches(self.complex_rows(rng, m), self.random_points(rng))
 
     def test_zero_and_parallel_rows(self):
         rng = np.random.default_rng(72)
@@ -651,22 +653,112 @@ class TestComplexD2Kernel:
             A = self.complex_rows(rng, m)
             A[m // 2] = 0.0
             A[-1] = (0.3 - 1.7j) * A[0]
-            self.assert_matches(A, *self.random_pairs(rng))
+            self.assert_matches(A, self.random_points(rng))
             rank_one = A[:1] * (rng.standard_normal((m, 1)) + 1j * rng.standard_normal((m, 1)))
-            self.assert_matches(rank_one, *self.random_pairs(rng))
+            self.assert_matches(rank_one, self.random_points(rng))
 
     def test_scaled_rows(self):
         rng = np.random.default_rng(73)
         for m in (3, 9, 30, 150):
             A = self.complex_rows(rng, m) * 10.0 ** rng.uniform(-3, 3, (m, 1))
-            self.assert_matches(A, *self.random_pairs(rng))
+            self.assert_matches(A, self.random_points(rng))
 
-    def test_rows_aligned_with_grid_pairs(self):
-        # e2 is orthogonal to x at theta = 0 and nearly so at 1e-10: q keeps eps |a|^2 there
-        A = np.array([[1, 0], [0, 1], [1, 1j]], dtype=complex)
-        gamma = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-        for theta in (0.0, 1e-10, np.pi / 4, np.pi / 2 - 1e-10, np.pi / 2):
-            self.assert_matches(A, *_pairs_complex_d2(np.full(gamma.size, theta), gamma))
+    def test_points_at_and_near_row_bloch_vectors(self):
+        # at n = +/-s_i row i has |a_i u| = 0 or |a_i x| = 0: q keeps eps |a_i|^2 there
+        rng = np.random.default_rng(74)
+        poles = np.array([[1, 0], [0, 1], [1, 1j]], dtype=complex)
+        for A in (poles, self.complex_rows(rng, 9), self.complex_rows(rng, 40)):
+            S = self.unit_columns(_bloch_terms(A).T)
+            tangent = np.cross(S.T, rng.standard_normal((S.shape[1], 3))).T
+            near = self.unit_columns(S + 1e-10 * self.unit_columns(tangent))
+            self.assert_matches(A, np.concatenate([S, -S, near, -near], axis=1))
+
+    def test_pairs_have_their_bloch_vector(self):
+        rng = np.random.default_rng(75)
+        poles = np.array([[1.0, -1.0], [0.0, 0.0], [0.0, 0.0]])
+        N = np.concatenate([self.random_points(rng), poles], axis=1)
+        X, U = _bloch_pairs(N)
+        assert np.allclose(np.linalg.norm(X, axis=0), 1.0, rtol=0, atol=1e-15)
+        assert np.max(np.abs((X.conj() * U).sum(axis=0))) <= 1e-15
+        bloch = np.stack(
+            [np.abs(X[0]) ** 2 - np.abs(X[1]) ** 2, 2 * (X[0].conj() * X[1]).real,
+             2 * (X[0].conj() * X[1]).imag]
+        )
+        assert np.max(np.abs(bloch - N)) <= 1e-15
+
+
+class TestBlochSearch:
+    """The complex d = 2 search on the Bloch sphere against the former angle-grid search."""
+
+    # L of the former 64 x 128 angle grid and (x ; u) poll, recorded from
+    # lower_lipschitz_numeric(sample_gaussian_matrix(m, 2, COMPLEX, seed=s), seed=s)
+    FORMER_LOWER = [
+        (4, 0, 0.09518564191550828),
+        (4, 1, 0.10467576734229712),
+        (4, 2, 0.12617394654720623),
+        (5, 0, 0.33997419697115777),
+        (5, 1, 0.458260141715696),
+        (5, 2, 0.37406514172150196),
+        (6, 0, 0.21957589288711826),
+        (6, 1, 0.24831124012361266),
+        (6, 2, 0.6214154898803019),
+        (8, 0, 0.44011572372932484),
+        (8, 1, 0.7470195362344206),
+        (8, 2, 0.42055738568778966),
+        (12, 0, 0.7698077402064918),
+        (12, 1, 0.8385049548109611),
+        (12, 2, 0.9441666568476172),
+        (32, 0, 2.3993459796899654),
+        (32, 1, 1.8965374522145888),
+        (32, 2, 2.144390065755612),
+        (128, 0, 4.897048604047257),
+        (128, 1, 4.553750988974751),
+        (128, 2, 4.744647352516249),
+        (500, 0, 9.752642750513509),
+        (500, 1, 9.679943039335475),
+        (500, 2, 9.98900061601271),
+    ]
+
+    @pytest.mark.parametrize("m, seed, former", FORMER_LOWER)
+    def test_not_above_former_search(self, m, seed, former):
+        A = sample_gaussian_matrix(m, 2, Field.COMPLEX, seed=seed)
+        lower, cert = lower_lipschitz_numeric(A, seed=seed)
+        assert lower <= former * (1 + 1e-9)
+        assert cert.stop_reason == "converged"
+        assert cert.evaluations > D2_SPHERE_POINTS
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_below_four_rows_is_zero(self, m):
+        # no complex m x 2 matrix with m < 4 is injective: L = 0 with a pair attaining it
+        eps = np.finfo(float).eps
+        for seed in range(40):
+            for scale in (1.0, 1e-6, 1e6):
+                A = scale * sample_gaussian_matrix(m, 2, Field.COMPLEX, seed=seed)
+                lower, cert = lower_lipschitz_numeric(A, seed=seed)
+                assert lower == 0.0
+                assert cert.stop_reason == "closed_form"
+                assert cert.ratio**2 <= 1e-12 * eps * np.sum(np.abs(A) ** 2)
+                assert abs(np.vdot(cert.x, cert.y)) <= 1e-15
+                assert np.linalg.norm(cert.y) <= 1.0
+
+    def test_search_floor_case_is_zero(self):
+        # the former search stopped at L^2 = 21 eps ||A||_F^2 here, beta = 1.3e7
+        A = sample_gaussian_matrix(3, 2, Field.COMPLEX, seed=903, stream=3)
+        assert lower_lipschitz_numeric(A, seed=3)[0] == 0.0
+        assert np.isinf(condition_number(A, METHOD_NUMERIC, seed=3).beta)
+
+    def test_zero_rows_and_coincident_bloch_vectors(self):
+        rng = np.random.default_rng(76)
+        a, b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        for A in (
+            np.zeros((4, 2), dtype=complex),
+            np.array([a, 0 * a, 0 * a, 0 * a, 0 * a]),
+            np.array([a, 2j * a, b, 0 * a, 0 * a, 0 * a]),
+            np.array([a, -3 * a, (1 + 1j) * a]),
+        ):
+            lower, cert = lower_lipschitz_numeric(A)
+            assert (lower, cert.stop_reason) == (0.0, "closed_form")
+            assert cert.ratio <= 1e-15 * max(np.linalg.norm(A), 1.0)
 
 
 class TestSplitBound:
@@ -812,7 +904,7 @@ class TestPollStopRule:
     def test_best_state_stop_matches_full_run(self, d, field, seed):
         # dropping restarts that cannot catch the best state loses nothing of it
         A = sample_gaussian_matrix(3 * d, d, field, seed=seed)
-        objective = _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), d)
+        objective = _pair_objective(A)
         Z0 = np.random.default_rng(seed).standard_normal((8, 2 * d))
         if field is Field.COMPLEX:
             Z0 = Z0 + 1j * np.random.default_rng(seed + 100).standard_normal((8, 2 * d))
@@ -978,7 +1070,7 @@ class TestPollBlockDraws:
     )
     def test_matches_per_iteration_draws(self, field, sets, keep, max_iter):
         A = sample_gaussian_matrix(9, 3, field, seed=5)
-        objective = _pair_objective(lambda X, U: _ratio_sq_min_over_scale(A, X, U), 3)
+        objective = _pair_objective(A)
         Z0 = raw_pairs(np.random.default_rng(6), 10, 3, field is Field.COMPLEX)[5:]
         kwargs = dict(
             h0=0.5, hmin=1e-6, max_iter=max_iter, shrink=0.5, min_gain=1e-15, sets=sets, keep=keep
@@ -998,7 +1090,7 @@ class TestPollBlockDraws:
             assert stop_reason == "converged" and iterations % POLL_BLOCK != 0
 
     def test_no_iteration_draws_nothing(self):
-        objective = _pair_objective(lambda X, U: _ratio_sq_min_over_scale(np.eye(3), X, U), 3)
+        objective = _pair_objective(np.eye(3))
         Z0 = np.random.default_rng(7).standard_normal((4, 6))
         rng, rng_ref = np.random.default_rng(12), np.random.default_rng(12)
         out = _poll(objective, Z0, rng, h0=1e-9, hmin=1e-6, max_iter=10, shrink=0.5, min_gain=0.0)
@@ -1012,7 +1104,8 @@ class TestPollCallerPins:
     The frame optimizer's pin was recorded with one basis draw and one QR
     per iteration and keeps every bit under block draws.  The pair-search
     pins were re-recorded when their acceptance threshold became the
-    matrix's roundoff scale eps * ||A||_F^2.
+    matrix's roundoff scale eps * ||A||_F^2, and the complex d = 2 pins
+    again when that search moved to the Bloch sphere.
     """
 
     @pytest.mark.parametrize(
@@ -1020,7 +1113,7 @@ class TestPollCallerPins:
         [
             (12, 4, Field.REAL, 128, 11, 0.513805376618007, 487, 134396),
             (16, 3, Field.COMPLEX, 32, 12, 0.6422409645289653, 2133, 109430),
-            (10, 2, Field.COMPLEX, 32, 13, 0.7645828407966994, 50, 17116),
+            (10, 2, Field.COMPLEX, 32, 13, 0.7645828407966988, 55, 5582),
         ],
     )
     def test_numeric_analyze(self, m, d, field, restarts, seed, lower, iterations, evaluations):
@@ -1055,11 +1148,11 @@ class TestPollCallerPins:
 
     def test_gaussian_complex_d2_cell(self):
         cfg = GaussianExperiment(field=Field.COMPLEX, d=2, m_values=(50,), trials=1, seed=5)
-        assert gaussian_beta_experiment(cfg)[0].lower == 2.1419455240541474
+        assert gaussian_beta_experiment(cfg)[0].lower == 2.1419455240541465
         A = sample_gaussian_matrix(50, 2, Field.COMPLEX, 5, stream=0)
         lower, cert = lower_lipschitz_numeric(A, restarts=32, seed=5 + 7919)
-        assert lower == 2.1419455240541474
-        assert (cert.iterations, cert.evaluations, cert.stop_reason) == (48, 14796, "converged")
+        assert lower == 2.1419455240541465
+        assert (cert.iterations, cert.evaluations, cert.stop_reason) == (55, 4646, "converged")
 
 
 class TestConditionNumber:
@@ -1236,6 +1329,8 @@ class TestSearchEngineRegression:
     complex cases were re-pinned when the pair searches took their
     acceptance threshold from the matrix's roundoff scale: 16 x 3 went from
     1008 to 973 iterations, 14 x 2 from 53 to 52, both values within 5e-15.
+    Complex 14 x 2 went from 52 to 56 iterations, its value one unit in the
+    last place lower, when complex d = 2 moved to the Bloch sphere.
     """
 
     @pytest.mark.parametrize(
@@ -1243,7 +1338,7 @@ class TestSearchEngineRegression:
         [
             (10, 3, Field.REAL, 3, 0.9129430383835907, 101, "converged"),
             (16, 3, Field.COMPLEX, 5, 0.5135774570882671, 973, "converged"),
-            (14, 2, Field.COMPLEX, 7, 1.3812372866456655, 52, "converged"),
+            (14, 2, Field.COMPLEX, 7, 1.3812372866456655, 56, "converged"),
         ],
     )
     def test_numeric_lower(self, m, d, field, seed, value, iterations, stop_reason):
