@@ -1,8 +1,8 @@
 """Command-line surface: analyze, harmonic, gaussian, kernel, recover, optimize.
 
-Every command that takes --seed is bit-deterministic across runs and worker
-counts.  Exit codes: 0 success, 2 precondition or bad configuration, 3 file
-or parse errors.  Numbers are serialized with shortest round-trip decimal
+Every command that takes --seed is bit-deterministic across runs and
+--threads values; every command runs serially.  Exit codes: 0 success, 2
+precondition or bad configuration, 3 file or parse errors.  Numbers are serialized with shortest round-trip decimal
 formatting; an infinite condition number is written as the string "inf".
 """
 
@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, workers
+from . import __version__
 from .gaussian import (
     GaussianExperiment,
     gaussian_beta_experiment,
@@ -137,7 +137,6 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--restarts must be >= 1, got {args.restarts}")
     A = read_matrix(args.matrix)
     method = METHOD_EXACT if args.method == "exact" else METHOD_NUMERIC
-    resolve_threads(args.threads)  # validated only: both methods run serially
     report = condition_number(A, method=method, restarts=args.restarts, seed=args.seed)
     cert = report.lower_certificate
     if isinstance(cert, PairCertificate):
@@ -163,7 +162,6 @@ def cmd_analyze(args) -> int:
 
 def cmd_harmonic(args) -> int:
     lo, hi = _parse_m_range(args.m_range)
-    resolve_threads(args.threads)  # validated only: the exact d = 2 path runs serially
     rows = []
     for m in range(lo, hi + 1):
         gmax, theta_star = abs_sine_sum_max(m)
@@ -195,7 +193,6 @@ def cmd_gaussian(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    resolve_threads(args.threads)  # validated only: the sweep runs its cells serially
     table = gaussian_beta_experiment(cfg)
     rows = [[r.m, r.trial, r.upper, r.lower, r.beta, r.beta_floor, r.excess] for r in table]
     _write_csv(args.csv, ["m", "trial", "U_hat", "L_hat", "beta_hat", "beta_0", "excess"], rows)
@@ -208,16 +205,13 @@ def cmd_kernel(args) -> int:
         raise ConfigError("--grid must be >= 2")
     if args.mc_samples < 1000:
         raise ConfigError("--mc-samples must be >= 1000")
-    threads = resolve_threads(args.threads)
     thetas = np.linspace(0.0, np.pi / 2, args.grid)
     closed_form = kernel_expectation_real if field is Field.REAL else kernel_expectation_complex
-
-    def grid_point(i: int) -> list:
-        theta = thetas[i]
-        est, se = mc_kernel_expectation(field, theta, args.mc_samples, args.seed, stream=i)
-        return [theta, closed_form(theta), est, se, kernel_expectation_bound(field, theta)]
-
-    rows = workers.run_indexed(grid_point, range(len(thetas)), threads)
+    estimates, ses = mc_kernel_expectation(field, thetas, args.mc_samples, args.seed)
+    rows = [
+        [theta, closed_form(theta), est, se, kernel_expectation_bound(field, theta)]
+        for theta, est, se in zip(thetas, estimates, ses)
+    ]
     flagged = sum(abs(closed - est) > 4 * se for _, closed, est, se, _ in rows)
     _write_csv(args.csv, ["theta", "closed_form", "mc_estimate", "mc_se", "bound"], rows)
     if args.csv:
@@ -247,7 +241,6 @@ def cmd_recover(args) -> int:
             raise ConfigError("--gaussian sizes must be >= 1")
     field = _parse_field(args.field)
 
-    resolve_threads(args.threads)  # validated only: the starts run as one batched iterate
     rows = []
     certified = 0
     holds = 0
@@ -312,10 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"prstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_threads(p, text):
-        p.add_argument("--threads", type=int, default=None, help=text)
-
-    serial = "accepted and validated; this command runs serially"
+    def add_threads(p):
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=None,
+            help="accepted and validated (default: PRSTAB_THREADS or logical cores); "
+            "every command runs serially",
+        )
 
     p = sub.add_parser("analyze", help="condition number of a matrix file")
     p.add_argument("--matrix", required=True)
@@ -323,13 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", default=None, help="output path (default: stdout)")
-    add_threads(p, serial)
+    add_threads(p)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("harmonic", help="closed-form table for equidistant frames")
     p.add_argument("--m-range", required=True, help="inclusive range A..B")
     p.add_argument("--csv", default=None, help="output path (default: stdout)")
-    add_threads(p, "accepted and validated; does not affect harmonic, whose d = 2 path is serial")
+    add_threads(p)
     p.set_defaults(fn=cmd_harmonic)
 
     p = sub.add_parser("gaussian", help="condition-number sweep over Gaussian matrices")
@@ -339,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
-    add_threads(p, serial)
+    add_threads(p)
     p.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("kernel", help="kernel expectation: closed form vs Monte Carlo")
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", default=None)
-    add_threads(p, "pool size for the grid points (default: PRSTAB_THREADS or logical cores)")
+    add_threads(p)
     p.set_defaults(fn=cmd_kernel)
 
     p = sub.add_parser("recover", help="magnitude least-squares recovery trials")
@@ -361,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--csv", default=None)
-    add_threads(p, serial)
+    add_threads(p)
     p.set_defaults(fn=cmd_recover)
 
     p = sub.add_parser("optimize", help="search for the best m x 2 real frame")
@@ -378,6 +375,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "threads" in vars(args):
+            resolve_threads(args.threads)  # validated only: no command runs a pool
         return args.fn(args)
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

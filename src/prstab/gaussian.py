@@ -5,16 +5,17 @@ All randomness flows through a counter-based (Philox) generator addressed by
 (seed, stream), so every draw is reproducible independent of scheduling.
 Normal variates are produced by Box-Muller on the uniform stream rather than
 the generator's native method, which pins the exact bit stream; the transform
-runs in blocks of ``BM_CHUNK`` pairs written into one output array.
+runs in one pass over all pairs, written into one output array.
 
 The Monte Carlo check of the kernel expectation never builds an n-length
-array.  Row i of its sample takes the Box-Muller pair of uniform draws
-(2i, 2i + 1) on the (seed, stream) address, or the two pairs 4i..4i + 3 for
-the complex field, so a row's draws are consecutive and the sample does not
-depend on the block size.  Blocks of ``BM_CHUNK`` Box-Muller pairs are
-transformed in two buffers allocated once per call, and each block's mean
-and squared deviations are merged into running statistics.  A `kernel` grid
-point thus holds half a megabyte, whatever the sample count.
+array.  One sample serves the whole grid of angles: row i takes the
+Box-Muller pair of uniform draws (2i, 2i + 1) on the (seed, 0) address, or
+the two pairs 4i..4i + 3 for the complex field, so a row's draws are
+consecutive and the sample does not depend on the block size.  Blocks of
+``BM_CHUNK`` Box-Muller pairs are transformed in buffers allocated once per
+call, every angle is scored on each block, and the block's mean and squared
+deviations are merged into that angle's running statistics.  A call holds
+about 768 KB of buffers, whatever the sample count or the grid length.
 
 Both kernel expectations ``E |<y, a><a, x>|`` are exact closed forms.  For
 unit complex vectors at angle t it is the hypergeometric value
@@ -27,6 +28,7 @@ mpmath to 8e-16 relative on [0, pi/2] and to 2.3e-15 at angles near 1e-8.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +73,7 @@ def box_muller(gen: np.random.Generator, shape) -> np.ndarray:
     u2 = gen.random(pairs)
     # z[:pairs] holds the cosine halves and z[pairs:] the sine halves
     z = np.empty(2 * pairs)
-    for lo in range(0, pairs, BM_CHUNK):
-        hi = min(lo + BM_CHUNK, pairs)
-        _box_muller_block(u1[lo:hi], u2[lo:hi], z[lo:hi], z[pairs + lo : pairs + hi])
+    _box_muller_block(u1, u2, z[:pairs], z[pairs:])
     return z[:n].reshape(shape)
 
 
@@ -140,23 +140,25 @@ def kernel_expectation_bound(field: Field, theta: float) -> float:
 
 
 def mc_kernel_expectation(
-    field: Field, theta: float, n: int, seed: int, stream: int = 0
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the kernel expectation with its standard error.
+    field: Field, thetas: Iterable[float], n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo estimates of the kernel expectation at each angle, with standard errors.
 
     Uses x = e1 and y = (cos t, sin t) in dimension 2; the expectation only
     depends on the angle.  Row i of the sample is a = r (cos phi, sin phi)
     from the Box-Muller pair of uniform draws (2i, 2i + 1) of
-    `stream_rng(seed, stream)`.  For the complex field a row takes the four
+    `stream_rng(seed, 0)`.  For the complex field a row takes the four
     draws 4i..4i + 3: the first pair gives the real parts and the second the
-    imaginary parts, and a = (re + i im) / sqrt(2).
+    imaginary parts, and a = (re + i im) / sqrt(2).  Every angle is scored
+    on the same rows, so the estimates' errors are correlated.
 
-    The sample is drawn in blocks of BM_CHUNK Box-Muller pairs into two
-    buffers allocated once per call.  Each block's mean and sum of squared
-    deviations are taken in two passes and merged into the running (count,
-    mean, M2) by Chan's update, so memory does not grow with n.  The estimate and
-    `sqrt(M2 / (n - 1)) / sqrt(n)` agree with numpy's `mean()` and
-    `std(ddof=1) / sqrt(n)` of the whole sample to summation roundoff.
+    The sample is drawn in blocks of BM_CHUNK Box-Muller pairs into three
+    buffers allocated once per call.  For each angle, a block's mean and sum
+    of squared deviations are taken in two passes and merged into that
+    angle's running (count, mean, M2) by Chan's update, so the buffers grow
+    with neither n nor the grid.  Each estimate and `sqrt(M2 / (n - 1)) / sqrt(n)`
+    agree with numpy's `mean()` and `std(ddof=1) / sqrt(n)` of the whole
+    sample to summation roundoff.
     """
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
@@ -164,37 +166,38 @@ def mc_kernel_expectation(
     pairs, dtype = (1, np.float64) if field is Field.REAL else (2, np.complex128)
     # a complex row is (re + i im) / sqrt(2): the factor 1/2 this puts on
     # conj(<a, x>) <a, y> goes exactly into the weights of y = (cos t, sin t)
-    t = _fold_angle(theta)
-    c, s = np.cos(t) / pairs, np.sin(t) / pairs
-    gen = stream_rng(seed, stream)
+    weights = [(np.cos(t) / pairs, np.sin(t) / pairs) for t in map(_fold_angle, thetas)]
+    gen = stream_rng(seed, 0)
     rows = BM_CHUNK // pairs  # per block, which holds BM_CHUNK Box-Muller pairs
     u = np.empty((rows, 2 * pairs))
     # entries 1 and 2 of the rows; Box-Muller pair k of a row gives their part k
     a = np.empty((2, rows, pairs))
     x, y = a.view(dtype)[..., 0]
+    xc, z = np.empty((2, BM_CHUNK)).view(dtype)  # conj(x), then <a, y> and its product
     # a transformed block's uniforms are spent: u then holds c x and the values
     w = u.reshape(-1)[:BM_CHUNK].view(dtype)
     v = u.reshape(-1)[BM_CHUNK : BM_CHUNK + rows]
-    mean, m2 = 0.0, 0.0
+    mean, m2 = np.zeros(len(weights)), np.zeros(len(weights))
     for lo in range(0, n, rows):
         size = min(rows, n - lo)
         block = gen.random(out=u[:size])
         for k in range(pairs):
             _box_muller_block(block[:, 2 * k], block[:, 2 * k + 1], a[0, :size, k], a[1, :size, k])
-        xb, yb, wb, vb = x[:size], y[:size], w[:size], v[:size]
-        np.multiply(xb, c, out=wb)
-        yb *= s
-        yb += wb  # <a, y>, up to that factor
-        np.conjugate(xb, out=xb)
-        xb *= yb
-        np.abs(xb, out=vb)
-        block_mean = vb.sum() / size
-        vb -= block_mean
-        vb *= vb
-        delta = block_mean - mean  # merge the block's `size` rows into the first `lo`
-        mean += delta * size / (lo + size)
-        m2 += vb.sum() + delta * delta * lo * size / (lo + size)
-    return float(mean), float(np.sqrt(m2 / (n - 1)) / np.sqrt(n))
+        xb, yb, xcb, zb, wb, vb = x[:size], y[:size], xc[:size], z[:size], w[:size], v[:size]
+        np.conjugate(xb, out=xcb)
+        for g, (c, s) in enumerate(weights):
+            np.multiply(xb, c, out=wb)
+            np.multiply(yb, s, out=zb)
+            zb += wb  # <a, y>, up to that factor
+            np.multiply(xcb, zb, out=zb)
+            np.abs(zb, out=vb)
+            block_mean = vb.sum() / size
+            vb -= block_mean
+            vb *= vb
+            delta = block_mean - mean[g]  # merge the block's `size` rows into the first `lo`
+            mean[g] += delta * size / (lo + size)
+            m2[g] += vb.sum() + delta * delta * lo * size / (lo + size)
+    return mean, np.sqrt(m2 / (n - 1)) / np.sqrt(n)
 
 
 @dataclass(frozen=True)

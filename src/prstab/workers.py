@@ -1,18 +1,13 @@
-"""Deterministic work distribution.
+"""Thread-count validation and fixed-width work ranges.
 
-Tasks are indexed and results are merged in index order, so output is
-identical for any worker count.  Chunk boundaries must never depend on the
-pool size; callers pass task lists that are fixed by the input alone.
+No command runs a thread pool: the `--threads` flag is validated and
+otherwise ignored.  Chunk boundaries depend on the input alone, never on a
+worker count.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 ENV_THREADS = "PRSTAB_THREADS"
 
@@ -27,14 +22,6 @@ def resolve_threads(threads: int | None) -> int:
     if n < 1:
         raise ValueError(f"thread count must be >= 1, got {n}")
     return n
-
-
-def run_indexed(fn: Callable[[T], R], tasks: Sequence[T], threads: int = 1) -> list[R]:
-    """Apply `fn` to each task, returning results in task order."""
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:

@@ -356,7 +356,8 @@ class TestKernelCommand:
 
     def test_real_csv_is_pinned(self, tmp_path, capsys):
         # re-recorded when the sample moved to one Box-Muller pair per row and
-        # streamed statistics; a seeded stream must not move without a re-pin
+        # streamed statistics, then rows 2-3 when every angle came to share
+        # row 1's sample; a seeded stream must not move without a re-pin
         out_csv = tmp_path / "k.csv"
         code, _, _ = run_cli(
             capsys, "kernel", "--field", "real", "--grid", "3",
@@ -366,15 +367,15 @@ class TestKernelCommand:
         assert out_csv.read_bytes() == (
             b"theta,closed_form,mc_estimate,mc_se,bound\n"
             b"0.0,1.0,1.0054827471590173,0.006337458477033082,1.0\n"
-            b"0.7853981633974483,0.8037115486718268,0.8120196559501377,"
-            b"0.005270835318677167,0.8935683954755758\n"
-            b"1.5707963267948966,0.6366197723675814,0.6364307016235871,"
-            b"0.0034221230777717556,0.6366197723675813\n"
+            b"0.7853981633974483,0.8037115486718268,0.8052055814560102,"
+            b"0.005184798245763965,0.8935683954755758\n"
+            b"1.5707963267948966,0.6366197723675814,0.6358201219809961,"
+            b"0.0034290486154140527,0.6366197723675813\n"
         )
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_csv_is_identical_across_threads(self, tmp_path, capsys, field):
-        # the grid points run over the pool; each draws from its own stream
+        # --threads is validated only: every grid point is scored serially on one sample
         outputs = []
         for threads in ("1", "2", "4"):
             out_csv = tmp_path / f"k{threads}.csv"
@@ -390,6 +391,29 @@ class TestKernelCommand:
     def test_arg_floors_exit_2(self, capsys):
         assert run_cli(capsys, "kernel", "--field", "real", "--grid", "1")[0] == 2
         assert run_cli(capsys, "kernel", "--field", "real", "--mc-samples", "10")[0] == 2
+
+
+class TestThreadsFlag:
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["analyze", "harmonic", "gaussian", "kernel", "recover"])
+    def test_zero_threads_exit_2(self, tmp_path, capsys, monkeypatch, command, how):
+        path = tmp_path / "e3.mat"
+        write_matrix(path, harmonic_frame(3).matrix)
+        argv = {
+            "analyze": ["--matrix", str(path)],
+            "harmonic": ["--m-range", "3..4"],
+            "gaussian": ["--field", "real", "--d", "2", "--m", "10", "--trials", "1"],
+            "kernel": ["--field", "real", "--grid", "2", "--mc-samples", "1000"],
+            "recover": ["--gaussian", "10,2", "--trials", "1"],
+        }[command]
+        if how == "flag":
+            monkeypatch.delenv("PRSTAB_THREADS", raising=False)
+            argv += ["--threads", "0"]
+        else:
+            monkeypatch.setenv("PRSTAB_THREADS", "0")
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestRecoverCommand:

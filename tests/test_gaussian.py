@@ -212,8 +212,8 @@ class TestKernelClosedForms:
 class TestMonteCarlo:
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_matches_closed_form_within_four_se(self, field):
-        for i, t in enumerate(THETAS):
-            est, se = mc_kernel_expectation(field, t, 10**5, seed=42, stream=i)
+        estimates, ses = mc_kernel_expectation(field, THETAS, 10**5, seed=42)
+        for t, est, se in zip(THETAS, estimates, ses):
             closed = (
                 kernel_expectation_real(t)
                 if field is Field.REAL
@@ -222,12 +222,12 @@ class TestMonteCarlo:
             assert abs(est - closed) <= 4 * se
 
     def test_theta_zero_estimates_one(self):
-        est, se = mc_kernel_expectation(Field.REAL, 0.0, 10**5, seed=0)
+        (est,), (se,) = mc_kernel_expectation(Field.REAL, [0.0], 10**5, seed=0)
         assert abs(est - 1.0) <= 4 * se
 
     def test_sample_floor(self):
         with pytest.raises(ValueError):
-            mc_kernel_expectation(Field.REAL, 0.1, 100, seed=0)
+            mc_kernel_expectation(Field.REAL, [0.1], 100, seed=0)
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize(
@@ -235,29 +235,36 @@ class TestMonteCarlo:
     )
     def test_matches_whole_sample_reference(self, field, n):
         # the blocks and the running merge sum in another order than numpy's
-        # whole-array mean and std, so the two agree to roundoff, not bit for bit
-        for i, t in enumerate([0.0, 0.9, np.pi / 2]):
-            est, se = mc_kernel_expectation(field, t, n, seed=13, stream=i)
-            ref_est, ref_se = mc_kernel_reference(field, t, n, seed=13, stream=i)
+        # whole-array mean and std, so the two agree to roundoff, not bit for bit;
+        # every angle of the grid is scored on the one sample of stream 0
+        thetas = [0.0, 0.9, np.pi / 2]
+        estimates, ses = mc_kernel_expectation(field, thetas, n, seed=13)
+        assert estimates.shape == ses.shape == (len(thetas),)
+        for t, est, se in zip(thetas, estimates, ses):
+            ref_est, ref_se = mc_kernel_reference(field, t, n, seed=13, stream=0)
             assert est == pytest.approx(ref_est, rel=1e-13, abs=0)
             assert se == pytest.approx(ref_se, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     def test_repeated_call_gives_same_bits(self, field):
-        first = mc_kernel_expectation(field, 0.7, 2 * BM_CHUNK + 5, seed=21, stream=3)
-        assert mc_kernel_expectation(field, 0.7, 2 * BM_CHUNK + 5, seed=21, stream=3) == first
+        thetas = [0.0, 0.7, 1.2]
+        first = mc_kernel_expectation(field, thetas, 2 * BM_CHUNK + 5, seed=21)
+        again = mc_kernel_expectation(field, thetas, 2 * BM_CHUNK + 5, seed=21)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
     @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
     @pytest.mark.parametrize("n", [10**6, 4 * 10**6])
     def test_memory_does_not_grow_with_n(self, field, n):
-        # the block buffers, allocated once per call; nothing n-length is kept
-        tracemalloc.start()
-        try:
-            mc_kernel_expectation(field, 0.4, n, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 8 * BM_CHUNK
+        # the block buffers, allocated once per call; nothing n-length or
+        # grid-sized beyond the per-angle statistics is kept
+        for grid in (1, 64):
+            tracemalloc.start()
+            try:
+                mc_kernel_expectation(field, np.linspace(0.0, np.pi / 2, grid), n, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 8 * BM_CHUNK
 
 
 class TestExperiment:

@@ -1,12 +1,6 @@
 import pytest
 
-from prstab.workers import chunk_ranges, resolve_threads, run_indexed
-
-
-def test_run_indexed_preserves_order():
-    assert run_indexed(lambda x: x * x, list(range(20)), threads=4) == [
-        x * x for x in range(20)
-    ]
+from prstab.workers import chunk_ranges, resolve_threads
 
 
 def test_chunk_ranges_cover_without_overlap():
