@@ -235,9 +235,12 @@ class BetaEstimateRow:
 def gaussian_beta_experiment(cfg: GaussianExperiment) -> list[BetaEstimateRow]:
     """Sample matrices per (m, trial) cell and estimate the condition number.
 
-    Each cell derives its own stream from (seed, m-index, trial) and runs
-    the numeric search with max(32, 8 d) restarts at its default iteration
-    budget.  Cells run one after another, in (m, trial) order.
+    Each cell derives its own stream from (seed, m-index, trial) and takes
+    the numeric route's lower constant: exact for real d <= 2, and for real
+    d >= 3 up to `stability.ENUMERATION_CAP` rows, where the split engine
+    answers; otherwise a search with max(32, 8 d) restarts at its default
+    iteration budget, which gives an upper bound on L.  Cells run one after
+    another, in (m, trial) order.
     """
     beta0 = universal_lower_bound(cfg.field)
     rows = []

@@ -7,8 +7,10 @@ windows of the rows sorted by angle mod pi hold an optimal split, scored in
 O(m log m) per matrix by one batched routine that also scores the frame
 optimizer's candidates, and the numeric route reports that value with the
 pair it yields (stop_reason "closed_form").  Real d = 1 is ||a|| in closed
-form.  For d >= 3 (capped at ENUMERATION_CAP rows) and for `split_bound`
-at every d, one serial engine finds the least split: a batched alternation
+form.  For real d >= 3 (capped at ENUMERATION_CAP rows) on both routes, and
+for `split_bound` at every d, one serial engine finds the least split; the
+numeric route reports its value with the pair of the best split
+(stop_reason "exact") and searches only above the cap.  A batched alternation
 between splits and the lambda_min eigenvectors of their two sides gives an
 incumbent, and a depth-first branch and bound over the rows in norm order
 proves it, pruning every node whose lambda_min bound exceeds the best value
@@ -86,12 +88,16 @@ class PairCertificate:
     search ended: "closed_form" (no search: d = 1 and real d = 2, where the
     ratio is the exact lower constant up to roundoff, and complex d = 2 with
     at most 3 nonzero rows, where L = 0 and the ratio is 0 to roundoff),
-    "converged" (the search's best state has converged, and every other
-    restart has converged too or could no longer catch it at its pace) or
-    "budget" (the pattern search hit its iteration cap with such a step
-    still above its floor).  `evaluations` counts the pair-objective
-    columns scored, the complex d = 2 sphere lattice included; it is 0 for
-    "closed_form".
+    "exact" (no search: real d >= 3 up to ENUMERATION_CAP rows, where the
+    split engine's value is the lower constant and the ratio is that of its
+    best split's pair, equal to it up to roundoff), "converged" (the
+    search's best state has converged, and every other restart has
+    converged too or could no longer catch it at its pace) or "budget" (the
+    pattern search hit its iteration cap with such a step still above its
+    floor).  `iterations` is 0 without a search.  `evaluations` counts the
+    pair-objective columns scored, the complex d = 2 sphere lattice
+    included; it is 0 for "closed_form" and the split engine's
+    `nodes_scored` for "exact".
     """
 
     x: np.ndarray
@@ -761,13 +767,19 @@ def lower_lipschitz_numeric(
     the lambda_min eigenvectors of the best split; complex d = 2 with at
     most 3 nonzero rows is never injective (Bandeira, Cahill, Mixon and
     Nelson, ACHA 2014) and reports 0 with the pair of `_bloch_zero_pair`.
-    Otherwise one pattern search runs.  Complex d = 2 searches the Bloch
-    sphere, since the objective depends only on the Bloch vector of x
+    Real d >= 3 with at most ENUMERATION_CAP rows needs none either
+    (stop_reason "exact"): it returns `lower_lipschitz_exact_real`'s value
+    to the bit, with the pair of its split (`_pair_from_split`), and the
+    certificate's evaluations are the engine's nodes_scored.  `restarts`,
+    `max_iters`, `tol` and `seed` reach only the search.  Otherwise one
+    pattern search runs.  Complex d = 2 searches the Bloch sphere, since
+    the objective depends only on the Bloch vector of x
     (`_bloch_objective`): a raw 3-vector state, started from the 12 best
     points of a Fibonacci lattice (`_bloch_grid_seeds`), with the pair
     taken from the best state by `_bloch_pairs`; `restarts` does not apply
-    to it.  d >= 3 searches raw (x ; u) states from `restarts` random pairs
-    and the coordinate pairs, scored by `_ratio_sq_min_over_scale`.  A move
+    to it.  Complex d >= 3, and real d >= 3 above the cap, search raw
+    (x ; u) states from `restarts` random pairs and the coordinate pairs,
+    scored by `_ratio_sq_min_over_scale`.  A move
     must gain more than the roundoff scale eps * ||A||_F^2, so the search
     of c*A takes the steps of the search of A, up to roundoff (exactly
     when c is a power of 2), and reports |c| times its value.  A value
@@ -782,25 +794,33 @@ def lower_lipschitz_numeric(
         raise ValueError("restarts must be >= 1")
     m, d = A.shape
     cplx = field_of(A) is Field.COMPLEX
-    if d == 1 or d == 2 and (not cplx or np.count_nonzero(np.linalg.norm(A, axis=1)) <= 3):
+    engine = not cplx and d >= 3 and m <= ENUMERATION_CAP
+    if engine or d == 1 or d == 2 and (
+        not cplx or np.count_nonzero(np.linalg.norm(A, axis=1)) <= 3
+    ):
+        stats = {"nodes_scored": 0}
         if d == 1:
             # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
             x, y = np.ones(1, dtype=A.dtype), np.zeros(1, dtype=A.dtype)
         elif cplx:
             x, y = _bloch_zero_pair(A)
-        else:
+            lower = 0.0
+        elif d == 2:
             lower_sq, _, split = _lower_exact_windows(A[None])
             x, y = _pair_from_split(A, split(0))
+            lower = float(np.sqrt(lower_sq[0]))
+        else:
+            lower, subset = lower_lipschitz_exact_real(A, stats=stats)
+            x, y = _pair_from_split(A, subset)
         ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
-        lower = ratio if d == 1 else 0.0 if cplx else float(np.sqrt(lower_sq[0]))
-        return lower, PairCertificate(
+        return ratio if d == 1 else lower, PairCertificate(
             x=x,
             y=y,
             ratio=ratio,
             iterations=0,
-            evaluations=0,
+            evaluations=stats["nodes_scored"],
             restarts=restarts,
-            stop_reason="closed_form",
+            stop_reason="exact" if engine else "closed_form",
         )
     fro_sq = np.linalg.norm(A) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
@@ -897,8 +917,10 @@ def condition_number(
     """Assemble upper and lower constants into a stability report.
 
     `method` is "exact_real_subset" (real matrices; d >= 3 up to the
-    enumeration cap) or "numeric_orth_pair".  beta is +inf when the lower
-    constant is reported as 0, below the scale-invariant roundoff floor of
+    enumeration cap) or "numeric_orth_pair", which gives the same lower
+    constant, bit for bit, on real d = 2 and on real d >= 3 up to that cap,
+    and searches otherwise.  beta is +inf when the lower constant is
+    reported as 0, below the scale-invariant roundoff floor of
     `_below_roundoff`.
     """
     upper = upper_lipschitz(A)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prstab
 from prstab import Field, harmonic_frame, read_matrix, sample_gaussian_matrix, write_matrix
 from prstab.cli import main
 from prstab.matrixio import MatrixFormatError
@@ -174,7 +179,8 @@ class TestAnalyze:
 
     def test_numeric_reports_stop_reason(self, tmp_path, capsys):
         path = tmp_path / "r.mat"
-        write_matrix(path, sample_gaussian_matrix(6, 3, Field.REAL, seed=1))
+        # real d >= 3 runs the search only above the enumeration cap of 24 rows
+        write_matrix(path, sample_gaussian_matrix(25, 3, Field.REAL, seed=1))
         code, out, _ = run_cli(
             capsys, "analyze", "--matrix", str(path), "--method", "numeric", "--restarts", "8"
         )
@@ -182,8 +188,17 @@ class TestAnalyze:
         pair = json.loads(out)["certificate"]["pair"]
         # restarts that cannot catch the best state are dropped, so the
         # search converges well before its 4000-iteration budget
-        assert pair["iterations"] == 80 and pair["stop_reason"] == "converged"
-        assert pair["evaluations"] == 8258
+        assert pair["iterations"] == 96 and pair["stop_reason"] == "converged"
+        assert pair["evaluations"] == 7898
+        # within the cap the split engine answers; evaluations counts its nodes
+        write_matrix(path, sample_gaussian_matrix(6, 3, Field.REAL, seed=1))
+        code, out, _ = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", "numeric", "--restarts", "8"
+        )
+        payload = json.loads(out)
+        pair = payload["certificate"]["pair"]
+        assert (pair["stop_reason"], pair["iterations"], pair["evaluations"]) == ("exact", 0, 24)
+        assert payload["lower"] == 0.11999090762521006
         write_matrix(path, harmonic_frame(5).matrix)
         code, out, _ = run_cli(capsys, "analyze", "--matrix", str(path), "--method", "numeric")
         pair = json.loads(out)["certificate"]["pair"]
@@ -414,6 +429,35 @@ class TestThreadsFlag:
         code, out, err = run_cli(capsys, command, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBlasThreads:
+    def test_numeric_output_ignores_blas_threads(self, tmp_path):
+        # rows summed through threaded BLAS products could take their last
+        # bits from the thread count; seeded output must not
+        path = tmp_path / "r20x4.mat"
+        write_matrix(path, sample_gaussian_matrix(20, 4, Field.REAL, seed=2))
+        commands = [
+            ["analyze", "--matrix", str(path), "--method", "numeric"],
+            ["gaussian", "--field", "real", "--d", "3", "--m", "12,20", "--trials", "2"],
+        ]
+        src = str(Path(prstab.__file__).resolve().parents[1])
+        paths = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=paths)
+            outputs.append(
+                [
+                    subprocess.run(
+                        [sys.executable, "-m", "prstab.cli", *argv],
+                        env=env,
+                        capture_output=True,
+                        check=True,
+                    ).stdout
+                    for argv in commands
+                ]
+            )
+        assert all(outputs[0]) and outputs[0] == outputs[1]
 
 
 class TestRecoverCommand:

@@ -783,6 +783,16 @@ class TestSplitBound:
             assert delta <= np.sqrt(2) * sigma + 1e-9
 
 
+def assert_engine_result(A, val, cert, value):
+    """A numeric result taken from the split engine: its value to the bit, with the pair's ratio."""
+    stats = {}
+    assert val == value == lower_lipschitz_exact_real(A, stats=stats)[0]
+    assert (cert.stop_reason, cert.iterations) == ("exact", 0)
+    assert cert.evaluations == stats["nodes_scored"] > 0
+    gap = np.linalg.norm(phaseless_map(A, cert.x) - phaseless_map(A, cert.y))
+    assert cert.ratio == gap / dist(cert.x, cert.y) == pytest.approx(value, rel=1e-12, abs=0)
+
+
 class TestNumericLower:
     def test_harmonic_m3(self):
         E3 = harmonic_frame(3).matrix
@@ -834,22 +844,35 @@ class TestNumericLower:
         assert cert.stop_reason == "closed_form"
 
     def test_stop_reason_budget(self):
-        # this 12 x 4 search converges after 446 iterations, so a 50-iteration
-        # cap stops it with live steps
+        # above the enumeration cap the search runs: this 25 x 4 search
+        # converges after 323 iterations, so a 50-iteration cap stops it with
+        # live steps
         rng = np.random.default_rng([1, 20240411])
-        A = rng.standard_normal((12, 4))
+        A = rng.standard_normal((25, 4))
         seed = int(rng.integers(0, 2**31 - 1))
         _, cert = lower_lipschitz_numeric(A, restarts=128, max_iters=50, seed=seed)
         assert cert.iterations == 50
         assert cert.stop_reason == "budget"
 
+    def test_stop_reason_budget_input_within_cap_is_exact(self):
+        # the 12 x 4 input this test ran before: the split engine ignores max_iters
+        rng = np.random.default_rng([1, 20240411])
+        A = rng.standard_normal((12, 4))
+        seed = int(rng.integers(0, 2**31 - 1))
+        val, cert = lower_lipschitz_numeric(A, restarts=128, max_iters=50, seed=seed)
+        assert_engine_result(A, val, cert, 0.5945086642884312)
+
     def test_stop_reason_converged(self):
         rng = np.random.default_rng(8)
-        _, cert = lower_lipschitz_numeric(rng.standard_normal((6, 3)), restarts=8, seed=2)
+        _, cert = lower_lipschitz_numeric(rng.standard_normal((25, 3)), restarts=8, seed=2)
         assert cert.iterations < 4000
         assert cert.stop_reason == "converged"
         _, cert = lower_lipschitz_numeric(harmonic_frame(5).matrix)
         assert cert.stop_reason == "closed_form"
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((6, 3))
+        val, cert = lower_lipschitz_numeric(A, restarts=8, seed=2)
+        assert_engine_result(A, val, cert, 0.39262124400864673)
 
     def test_complex_d2_honours_max_iters(self):
         # this search converges after about 50 iterations; a cap of 5 stops it
@@ -865,6 +888,35 @@ class TestNumericLower:
         assert val == pytest.approx(0.00829573111798177, rel=1e-12, abs=0)
         assert val < 0.01105
         assert cert.iterations < 4000 and cert.stop_reason == "converged"
+
+
+class TestNumericRealEngine:
+    """Real d >= 3 on the numeric route: the split engine up to the cap, the search above it."""
+
+    @pytest.mark.parametrize("m, d, seed", [(14, 6, 3), (14, 4, 2), (16, 6, 4)])
+    def test_former_search_misses_are_exact(self, m, d, seed):
+        # the search, at the gaussian sweep's restarts, ended 47%, 27% and 10%
+        # above the exact L on these and reported "converged"
+        A = sample_gaussian_matrix(m, d, Field.REAL, seed=seed)
+        val, cert = lower_lipschitz_numeric(A, restarts=max(32, 8 * d), seed=seed)
+        assert val == lower_lipschitz_exact_real(A)[0]
+        assert cert.stop_reason == "exact"
+
+    @pytest.mark.parametrize("m, d", [(22, 12), (18, 10)])
+    def test_non_injective_is_zero(self, m, d):
+        # m < 2d - 1 rows never separate real signals; the search reported L > 0
+        rep = condition_number(sample_gaussian_matrix(m, d, Field.REAL, seed=1), METHOD_NUMERIC)
+        assert rep.lower == 0.0 and np.isinf(rep.beta)
+        assert rep.lower_certificate.stop_reason == "exact"
+
+    @pytest.mark.parametrize("m, d", [(25, 3), (26, 4), (28, 3)])
+    def test_search_above_cap_stays_above_engine(self, m, d):
+        # the search still runs past ENUMERATION_CAP; the uncapped engine's
+        # least split bounds it from below
+        A = sample_gaussian_matrix(m, d, Field.REAL, seed=m)
+        val, cert = lower_lipschitz_numeric(A, restarts=max(32, 8 * d), seed=m)
+        assert cert.stop_reason == "converged" and cert.iterations > 0
+        assert val >= np.sqrt(_reduce_over_splits(A, np.add)[0]) * (1 - 1e-12)
 
 
 class TestNumericScale:
@@ -1105,13 +1157,15 @@ class TestPollCallerPins:
     per iteration and keeps every bit under block draws.  The pair-search
     pins were re-recorded when their acceptance threshold became the
     matrix's roundoff scale eps * ||A||_F^2, and the complex d = 2 pins
-    again when that search moved to the Bloch sphere.
+    again when that search moved to the Bloch sphere.  The real pin moved
+    from 12 x 4 to 25 x 4 when real d >= 3 inputs within the enumeration
+    cap left the search for the split engine.
     """
 
     @pytest.mark.parametrize(
         "m, d, field, restarts, seed, lower, iterations, evaluations",
         [
-            (12, 4, Field.REAL, 128, 11, 0.513805376618007, 487, 134396),
+            (25, 4, Field.REAL, 128, 11, 1.4891720267056314, 267, 101884),
             (16, 3, Field.COMPLEX, 32, 12, 0.6422409645289653, 2133, 109430),
             (10, 2, Field.COMPLEX, 32, 13, 0.7645828407966988, 55, 5582),
         ],
@@ -1126,6 +1180,12 @@ class TestPollCallerPins:
             evaluations,
             "converged",
         )
+
+    def test_real_12x4_within_cap_is_exact(self):
+        # the real case pinned here before (487 iterations, L = 0.513805376618007)
+        A = sample_gaussian_matrix(12, 4, Field.REAL, seed=11)
+        rep = condition_number(A, METHOD_NUMERIC, restarts=128, seed=11)
+        assert_engine_result(A, rep.lower, rep.lower_certificate, 0.5138053766179997)
 
     def test_frame_optimizer(self):
         # optimize --m 5 --restarts 24: three polls, with draws between them
@@ -1330,13 +1390,15 @@ class TestSearchEngineRegression:
     acceptance threshold from the matrix's roundoff scale: 16 x 3 went from
     1008 to 973 iterations, 14 x 2 from 53 to 52, both values within 5e-15.
     Complex 14 x 2 went from 52 to 56 iterations, its value one unit in the
-    last place lower, when complex d = 2 moved to the Bloch sphere.
+    last place lower, when complex d = 2 moved to the Bloch sphere.  The
+    real case moved from 10 x 3 to 25 x 3, above the enumeration cap, when
+    real d >= 3 inputs within it left the search for the split engine.
     """
 
     @pytest.mark.parametrize(
         "m, d, field, seed, value, iterations, stop_reason",
         [
-            (10, 3, Field.REAL, 3, 0.9129430383835907, 101, "converged"),
+            (25, 3, Field.REAL, 3, 1.9715805660774715, 220, "converged"),
             (16, 3, Field.COMPLEX, 5, 0.5135774570882671, 973, "converged"),
             (14, 2, Field.COMPLEX, 7, 1.3812372866456655, 56, "converged"),
         ],
@@ -1347,6 +1409,12 @@ class TestSearchEngineRegression:
         assert val == pytest.approx(value, rel=1e-12, abs=0)
         assert cert.iterations == iterations
         assert cert.stop_reason == stop_reason
+
+    def test_real_10x3_within_cap_is_exact(self):
+        # the real case pinned here before (101 iterations, L = 0.9129430383835907)
+        A = sample_gaussian_matrix(10, 3, Field.REAL, seed=3)
+        val, cert = lower_lipschitz_numeric(A, seed=3)
+        assert_engine_result(A, val, cert, 0.912943038383589)
 
     def test_frame_optimizer(self):
         frame, beta = optimize_frame_r2(5, restarts=8, budget=2000)
