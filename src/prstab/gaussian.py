@@ -15,7 +15,7 @@ consecutive and the sample does not depend on the block size.  Blocks of
 ``BM_CHUNK`` Box-Muller pairs are transformed in buffers allocated once per
 call, every angle is scored on each block, and the block's mean and squared
 deviations are merged into that angle's running statistics.  A call holds
-about 768 KB of buffers, whatever the sample count or the grid length.
+about 640 KB of buffers, whatever the sample count or the grid length.
 
 Both kernel expectations ``E |<y, a><a, x>|`` are exact closed forms.  For
 unit complex vectors at angle t it is the hypergeometric value
@@ -165,7 +165,7 @@ def mc_kernel_expectation(
     n = int(n)
     pairs, dtype = (1, np.float64) if field is Field.REAL else (2, np.complex128)
     # a complex row is (re + i im) / sqrt(2): the factor 1/2 this puts on
-    # conj(<a, x>) <a, y> goes exactly into the weights of y = (cos t, sin t)
+    # |<a, x>| |<a, y>| goes exactly into the weights of y = (cos t, sin t)
     weights = [(np.cos(t) / pairs, np.sin(t) / pairs) for t in map(_fold_angle, thetas)]
     gen = stream_rng(seed, 0)
     rows = BM_CHUNK // pairs  # per block, which holds BM_CHUNK Box-Muller pairs
@@ -173,24 +173,25 @@ def mc_kernel_expectation(
     # entries 1 and 2 of the rows; Box-Muller pair k of a row gives their part k
     a = np.empty((2, rows, pairs))
     x, y = a.view(dtype)[..., 0]
-    xc, z = np.empty((2, BM_CHUNK)).view(dtype)  # conj(x), then <a, y> and its product
-    # a transformed block's uniforms are spent: u then holds c x and the values
-    w = u.reshape(-1)[:BM_CHUNK].view(dtype)
-    v = u.reshape(-1)[BM_CHUNK : BM_CHUNK + rows]
+    z = np.empty(BM_CHUNK).view(dtype)  # <a, y>; for a real row its modulus too
+    # a transformed block's uniforms are spent: u then holds c x, |x| and,
+    # for complex rows, the moduli
+    w, r = u.reshape(-1)[:BM_CHUNK].view(dtype), u.reshape(-1)[BM_CHUNK : BM_CHUNK + rows]
+    v = z if pairs == 1 else u.reshape(-1)[BM_CHUNK + rows :]
     mean, m2 = np.zeros(len(weights)), np.zeros(len(weights))
     for lo in range(0, n, rows):
         size = min(rows, n - lo)
         block = gen.random(out=u[:size])
         for k in range(pairs):
             _box_muller_block(block[:, 2 * k], block[:, 2 * k + 1], a[0, :size, k], a[1, :size, k])
-        xb, yb, xcb, zb, wb, vb = x[:size], y[:size], xc[:size], z[:size], w[:size], v[:size]
-        np.conjugate(xb, out=xcb)
+        xb, yb, zb, wb, rb, vb = x[:size], y[:size], z[:size], w[:size], r[:size], v[:size]
+        np.abs(xb, out=rb)
         for g, (c, s) in enumerate(weights):
             np.multiply(xb, c, out=wb)
             np.multiply(yb, s, out=zb)
             zb += wb  # <a, y>, up to that factor
-            np.multiply(xcb, zb, out=zb)
             np.abs(zb, out=vb)
+            vb *= rb  # |<a, x>| |<a, y>|
             block_mean = vb.sum() / size
             vb -= block_mean
             vb *= vb

@@ -38,7 +38,6 @@ from functools import cache
 
 import numpy as np
 
-from . import workers
 from .linalg import (
     Field,
     FieldMismatchError,
@@ -97,7 +96,10 @@ class PairCertificate:
     floor).  `iterations` is 0 without a search.  `evaluations` counts the
     pair-objective columns scored, the complex d = 2 sphere lattice
     included; it is 0 for "closed_form" and the split engine's
-    `nodes_scored` for "exact".
+    `nodes_scored` for "exact".  `restarts` counts the random restarts that
+    ran: the requested number for the (x ; u) search, 0 for "closed_form",
+    for "exact" and for the complex d = 2 search, which starts from a
+    lattice.
     """
 
     x: np.ndarray
@@ -399,6 +401,19 @@ def _lower_exact_windows(A: np.ndarray):
     return lower_sq, gram, split
 
 
+def _lower_exact_real(A: np.ndarray) -> tuple[float, tuple[int, ...], int]:
+    """(value, subset, nodes scored) of `lower_lipschitz_exact_real`, without its checks."""
+    m, d = A.shape
+    if d == 1:
+        return float(np.linalg.norm(A)), (), 0
+    if d == 2:
+        lower_sq, _, split = _lower_exact_windows(A[None])
+        return float(np.sqrt(lower_sq[0])), split(0), m
+    best_val, best_mask, nodes = _reduce_over_splits(A, np.add)
+    value = 0.0 if _below_roundoff(best_val, float(np.sum(A * A))) else float(np.sqrt(best_val))
+    return value, tuple(i for i in range(m - 1) if (best_mask >> i) & 1), nodes
+
+
 def lower_lipschitz_exact_real(
     A: np.ndarray, stats: dict | None = None
 ) -> tuple[float, tuple[int, ...]]:
@@ -417,21 +432,13 @@ def lower_lipschitz_exact_real(
     the incumbent is already there, so is its subset, and no node is
     scored.  If `stats` is a dict, stats["nodes_scored"] is set to the
     number of nodes scored: 0 for d = 1, the m windows for d = 2, and for
-    d >= 3 the branch-and-bound nodes and the leaves scored again.
+    d >= 3 the branch-and-bound nodes and the leaves scored again.  The
+    work is done by `_lower_exact_real`, which the numeric route calls too.
     """
-    m, d = A.shape
-    _require_real_enumerable(A, capped=d >= 3)
-    if d == 1:
-        value, subset, scored = float(np.linalg.norm(A)), (), 0
-    elif d == 2:
-        lower_sq, _, split = _lower_exact_windows(A[None])
-        value, subset, scored = float(np.sqrt(lower_sq[0])), split(0), m
-    else:
-        best_val, best_mask, scored = _reduce_over_splits(A, np.add)
-        value = 0.0 if _below_roundoff(best_val, float(np.sum(A * A))) else float(np.sqrt(best_val))
-        subset = tuple(i for i in range(m - 1) if (best_mask >> i) & 1)
+    _require_real_enumerable(A, capped=A.shape[1] >= 3)
+    value, subset, nodes = _lower_exact_real(A)
     if stats is not None:
-        stats["nodes_scored"] = scored
+        stats["nodes_scored"] = nodes
     return value, subset
 
 
@@ -727,8 +734,8 @@ def _bloch_grid_seeds(objective, m: int) -> tuple[np.ndarray, int]:
     cols = N.shape[1]
     chunk = max(1, min(cols, D2_GRID_CHUNK // max(m, 1)))
     vals = np.empty(cols)
-    for lo, hi in workers.chunk_ranges(cols, chunk):
-        vals[lo:hi] = objective(N[:, lo:hi])
+    for lo in range(0, cols, chunk):
+        vals[lo : lo + chunk] = objective(N[:, lo : lo + chunk])
     return np.ascontiguousarray(N[:, np.argsort(vals)[:12]].T), cols
 
 
@@ -750,88 +757,30 @@ def _pair_from_split(A: np.ndarray, subset: tuple[int, ...]) -> tuple[np.ndarray
     return x / scale, y / scale
 
 
-def lower_lipschitz_numeric(
-    A: np.ndarray,
-    restarts: int = 32,
-    max_iters: int = 4000,
-    tol: float = 1e-9,
-    seed: int = 0,
-) -> tuple[float, PairCertificate]:
-    """Best found value of the constrained orthogonal-pair minimization.
+def _pair_search(A, restarts, max_iters, tol, seed):
+    """Route 4 of `lower_lipschitz_numeric`: (x, y, iterations, evaluations, restarts, stop).
 
-    Searches pairs (x, u) with ||x|| = 1, ||u|| = 1, <x, u> = 0 and resolves
-    the scale of y = t*u in closed form; the returned value is always an
-    upper bound on the true optimal lower constant.  Three cases need no
-    search (stop_reason "closed_form"): d = 1 has the one pair (x, 0); real
-    d = 2 takes the exact value from the quarter windows and the pair from
-    the lambda_min eigenvectors of the best split; complex d = 2 with at
-    most 3 nonzero rows is never injective (Bandeira, Cahill, Mixon and
-    Nelson, ACHA 2014) and reports 0 with the pair of `_bloch_zero_pair`.
-    Real d >= 3 with at most ENUMERATION_CAP rows needs none either
-    (stop_reason "exact"): it returns `lower_lipschitz_exact_real`'s value
-    to the bit, with the pair of its split (`_pair_from_split`), and the
-    certificate's evaluations are the engine's nodes_scored.  `restarts`,
-    `max_iters`, `tol` and `seed` reach only the search.  Otherwise one
-    pattern search runs.  Complex d = 2 searches the Bloch sphere, since
-    the objective depends only on the Bloch vector of x
-    (`_bloch_objective`): a raw 3-vector state, started from the 12 best
-    points of a Fibonacci lattice (`_bloch_grid_seeds`), with the pair
-    taken from the best state by `_bloch_pairs`; `restarts` does not apply
-    to it.  Complex d >= 3, and real d >= 3 above the cap, search raw
-    (x ; u) states from `restarts` random pairs and the coordinate pairs,
-    scored by `_ratio_sq_min_over_scale`.  A move
-    must gain more than the roundoff scale eps * ||A||_F^2, so the search
-    of c*A takes the steps of the search of A, up to roundoff (exactly
-    when c is a power of 2), and reports |c| times its value.  A value
-    below roundoff (`_below_roundoff`) is reported as 0.  Only the best
-    state is returned, so the search ends once it has converged and the
-    other restarts have either converged or fallen too far behind to catch
-    it in the iterations left (stop_reason "converged"), or at `max_iters`
-    ("budget"); the certificate counts the pair-objective columns scored,
-    the lattice included.
+    Complex d = 2 searches 3-vector Bloch states (`_bloch_objective`) from
+    the 12 best points of a lattice (`_bloch_grid_seeds`), which count as
+    evaluations, and runs no random restart.  Other inputs search raw
+    (x ; u) states from `restarts` random pairs and the coordinate pairs.  A
+    move must gain more than eps * ||A||_F^2, so the search of c*A takes the
+    steps of that of A, up to roundoff (exactly when c is a power of 2).
+    Only the best state is returned, so the search stops once it has
+    converged and the other restarts have converged or fallen too far
+    behind to catch it in the iterations left ("converged"), or at
+    `max_iters` ("budget").  y = t*u takes the best t in closed form.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     m, d = A.shape
-    cplx = field_of(A) is Field.COMPLEX
-    engine = not cplx and d >= 3 and m <= ENUMERATION_CAP
-    if engine or d == 1 or d == 2 and (
-        not cplx or np.count_nonzero(np.linalg.norm(A, axis=1)) <= 3
-    ):
-        stats = {"nodes_scored": 0}
-        if d == 1:
-            # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
-            x, y = np.ones(1, dtype=A.dtype), np.zeros(1, dtype=A.dtype)
-        elif cplx:
-            x, y = _bloch_zero_pair(A)
-            lower = 0.0
-        elif d == 2:
-            lower_sq, _, split = _lower_exact_windows(A[None])
-            x, y = _pair_from_split(A, split(0))
-            lower = float(np.sqrt(lower_sq[0]))
-        else:
-            lower, subset = lower_lipschitz_exact_real(A, stats=stats)
-            x, y = _pair_from_split(A, subset)
-        ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
-        return ratio if d == 1 else lower, PairCertificate(
-            x=x,
-            y=y,
-            ratio=ratio,
-            iterations=0,
-            evaluations=stats["nodes_scored"],
-            restarts=restarts,
-            stop_reason="exact" if engine else "closed_form",
-        )
-    fro_sq = np.linalg.norm(A) ** 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
     if d == 2:
         objective = _bloch_objective(A)
         Z0, grid = _bloch_grid_seeds(objective, m)
-        h0, hmin = 0.1, 1e-9
+        h0, hmin, restarts = 0.1, 1e-9, 0
     else:
         n = 2 * d
         Z0 = rng.standard_normal((restarts, n))
-        if cplx:
+        if field_of(A) is Field.COMPLEX:
             Z0 = Z0 + 1j * rng.standard_normal((restarts, n))
         # coordinate pairs (e_i ; e_j), i != j, are cheap, deterministic extra seeds
         i, j = np.nonzero(~np.eye(d, dtype=bool))
@@ -849,7 +798,7 @@ def lower_lipschitz_numeric(
         hmin=hmin,
         max_iter=max_iters,
         shrink=0.5,
-        min_gain=np.finfo(float).eps * fro_sq,
+        min_gain=np.finfo(float).eps * np.linalg.norm(A) ** 2,
         keep=1,
     )
     k = int(np.argmin(vals))
@@ -859,23 +808,61 @@ def lower_lipschitz_numeric(
     else:
         # coordinate seeds start finite and only improve: the best state is not degenerate
         X, U, _ = _orthonormalize_batch(best, d)
-    best_x, best_u = X[:, 0], U[:, 0]
-    AX, AU = np.abs(A @ best_x), np.abs(A @ best_u)
+    x, u = X[:, 0], U[:, 0]
+    AX, AU = np.abs(A @ x), np.abs(A @ u)
     values, t_star = _scale_step(*(float(v.sum()) for v in (AX**2, AU**2, AX * AU)))
-    y = (0.0, 1.0, float(t_star))[int(np.argmin(values))] * best_u  # ties: 0, then 1, then t*
-    ratio = float(np.linalg.norm(phaseless_map(A, best_x) - phaseless_map(A, y)) / dist(best_x, y))
-    cert = PairCertificate(
-        x=best_x,
-        y=y,
-        ratio=ratio,
-        iterations=iterations,
-        evaluations=grid + evaluations,
-        restarts=restarts,
-        stop_reason=stop,
-    )
-    if _below_roundoff(ratio**2, fro_sq):
-        return 0.0, cert
-    return ratio, cert
+    y = (0.0, 1.0, float(t_star))[int(np.argmin(values))] * u  # ties: 0, then 1, then t*
+    return x, y, iterations, grid + evaluations, restarts, stop
+
+
+def lower_lipschitz_numeric(
+    A: np.ndarray,
+    restarts: int = 32,
+    max_iters: int = 4000,
+    tol: float = 1e-9,
+    seed: int = 0,
+) -> tuple[float, PairCertificate]:
+    """Best found value of the constrained orthogonal-pair minimization.
+
+    Over pairs x, y = t*u with ||x|| = ||u|| = 1, <x, u> = 0 and t in [0, 1],
+    the value is always an upper bound on the true optimal lower constant.
+    The routes, in this order, each pick the pair:
+
+    1. d = 1: the one pair (x, 0) ("closed_form").
+    2. Real d = 2, and real d >= 3 up to ENUMERATION_CAP rows: the value of
+       `lower_lipschitz_exact_real` to the bit and the pair of its split
+       (`_pair_from_split`); "closed_form" for d = 2, and "exact", with the
+       engine's nodes scored as evaluations, for d >= 3.
+    3. Complex d = 2 with at most 3 nonzero rows, never injective (Bandeira,
+       Cahill, Mixon and Nelson, ACHA 2014): 0 with the pair of
+       `_bloch_zero_pair` ("closed_form").
+    4. Otherwise one pattern search (`_pair_search`); `restarts`,
+       `max_iters`, `tol` and `seed` reach only it.
+
+    One tail scores the pair's ratio for the certificate; routes 1 and 4
+    report it as the value, 0 below roundoff (`_below_roundoff`).
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    m, d = A.shape
+    lower, iterations, evaluations, ran, stop = None, 0, 0, 0, "closed_form"
+    if d == 1:
+        # the only admissible pair is (x, 0); the ratio is ||A|| for any unit x
+        x, y = np.ones(1, dtype=A.dtype), np.zeros(1, dtype=A.dtype)
+    elif field_of(A) is Field.REAL and (d == 2 or m <= ENUMERATION_CAP):
+        lower, subset, nodes = _lower_exact_real(A)
+        x, y = _pair_from_split(A, subset)
+        if d > 2:
+            evaluations, stop = nodes, "exact"
+    elif d == 2 and np.count_nonzero(np.linalg.norm(A, axis=1)) <= 3:
+        lower = 0.0
+        x, y = _bloch_zero_pair(A)
+    else:
+        x, y, iterations, evaluations, ran, stop = _pair_search(A, restarts, max_iters, tol, seed)
+    ratio = float(np.linalg.norm(phaseless_map(A, x) - phaseless_map(A, y)) / dist(x, y))
+    if lower is None:
+        lower = 0.0 if _below_roundoff(ratio**2, np.linalg.norm(A) ** 2) else ratio
+    return lower, PairCertificate(x, y, ratio, iterations, evaluations, ran, stop)
 
 
 def universal_lower_bound(field: Field) -> float:

@@ -1,8 +1,7 @@
-"""Thread-count validation and fixed-width work ranges.
+"""Thread-count validation.
 
 No command runs a thread pool: the `--threads` flag is validated and
-otherwise ignored.  Chunk boundaries depend on the input alone, never on a
-worker count.
+otherwise ignored.
 """
 
 from __future__ import annotations
@@ -23,9 +22,3 @@ def resolve_threads(threads: int | None) -> int:
         raise ValueError(f"thread count must be >= 1, got {n}")
     return n
 
-
-def chunk_ranges(total: int, chunk: int) -> list[tuple[int, int]]:
-    """Split [0, total) into contiguous [lo, hi) ranges of fixed width."""
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1")
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]

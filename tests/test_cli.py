@@ -206,6 +206,24 @@ class TestAnalyze:
             "closed_form", 0, 0
         )
 
+    @pytest.mark.parametrize(
+        "m, d, field, restarts",
+        [
+            (6, 3, Field.REAL, 0),  # the split engine
+            (6, 1, Field.COMPLEX, 0),  # closed form
+            (16, 2, Field.COMPLEX, 0),  # the Bloch sphere search starts from its lattice
+            (16, 3, Field.COMPLEX, 8),  # the (x ; u) search
+        ],
+    )
+    def test_numeric_restarts_count_the_restarts_run(self, tmp_path, capsys, m, d, field, restarts):
+        path = tmp_path / "r.mat"
+        write_matrix(path, sample_gaussian_matrix(m, d, field, seed=1))
+        code, out, _ = run_cli(
+            capsys, "analyze", "--matrix", str(path), "--method", "numeric", "--restarts", "8"
+        )
+        assert code == 0
+        assert json.loads(out)["certificate"]["pair"]["restarts"] == restarts
+
     def test_numeric_beta_ignores_scale(self, tmp_path, capsys):
         path = tmp_path / "s.mat"
         A = sample_gaussian_matrix(12, 3, Field.REAL, seed=0)

@@ -52,7 +52,6 @@ from prstab.stability import (
     _subset_gram_terms,
 )
 from prstab.linalg import eigvals_2x2_batch
-from prstab.workers import chunk_ranges
 
 THREE_ROWS = np.array([[1.0, 0.0], [0.0, 1.0], [2**-0.5, 2**-0.5]])
 THREE_ROWS_LOWER = 0.5411961001461969  # sqrt(1 - 1/sqrt(2)), frozen from the
@@ -316,7 +315,7 @@ def oracle_split_sums(terms):
     m = terms.shape[0]
     low_rows = min(m - 1, ORACLE_CHUNK_BITS)
     low = _subset_sums(terms[:low_rows].T)
-    for lo, _ in chunk_ranges(1 << (m - 1), 1 << ORACLE_CHUNK_BITS):
+    for lo in range(0, 1 << (m - 1), 1 << ORACLE_CHUNK_BITS):
         g_subset = low.copy()
         for j in range(low_rows, m - 1):
             if (lo >> j) & 1:

@@ -1,16 +1,6 @@
 import pytest
 
-from prstab.workers import chunk_ranges, resolve_threads
-
-
-def test_chunk_ranges_cover_without_overlap():
-    ranges = chunk_ranges(100, 7)
-    assert ranges[0] == (0, 7)
-    assert ranges[-1][1] == 100
-    flat = [i for lo, hi in ranges for i in range(lo, hi)]
-    assert flat == list(range(100))
-    with pytest.raises(ValueError):
-        chunk_ranges(10, 0)
+from prstab.workers import resolve_threads
 
 
 def test_resolve_threads_precedence(monkeypatch):
